@@ -9,7 +9,10 @@ ablation     Run one of the named ablation studies.
 distance     Average-distance table (Eq. 2 vs. exact enumeration).
 campaign     Run a declarative parameter-grid campaign (parallel,
              resumable, cache-backed).
-sim          Run one flit-level simulation with full workload control.
+sim          Run one flit-level simulation with full workload control;
+             --profile adds the per-phase kernel timing, --watch the
+             cycle-resolution time-series probes (sparklines, sample
+             table, warmup verdict), --json prints both as JSON lines.
 validate     Model-vs-sim accuracy per workload (campaign-backed);
              --bounds adds the network-calculus cross-check, --preset
              runs the standing S5/S6 suites with stated tolerances, and
@@ -19,11 +22,6 @@ serve        Capacity-planning query service over a campaign store
              (warm store hits, saturation-aware surrogates, instant
              cold fallback + background refinement); --trace-events
              records every query's span tree.
-profile      Per-phase kernel timing of one array-engine batch
-             (--json for machine-readable output).
-watch        Cycle-resolution time-series probes of one array-engine
-             run: in-flight, throughput, backlog and VC occupancy as
-             terminal sparklines/table or JSONL (--out).
 trace        Trace-file tooling: ``trace export`` rewrites span events
              as Chrome trace-event JSON for chrome://tracing.
 """
@@ -31,6 +29,7 @@ trace        Trace-file tooling: ``trace export`` rewrites span events
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from repro.api.presets import available_presets
@@ -47,18 +46,103 @@ from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["main", "build_parser"]
 
-#: Scenario-flag defaults of ``starnet validate`` when --preset is not
-#: used — the single source for both the help strings and the
-#: None-resolution (argparse defaults stay None so --preset can reject
-#: explicitly passed, conflicting flags).
-_VALIDATE_DEFAULTS = {
-    "order": 4,
-    "message_length": 16,
-    "vcs": 5,
-    "quality": "quick",
-    "seed": 0,
-    "engine": "object",
+#: The scenario flags, declared once: flag -> (Scenario field or None,
+#: argparse keywords).  A command takes the flags named in its defaults
+#: table below.  Flags with a Scenario field fix the scenario (so they
+#: conflict with ``validate --preset``); --rate/--load pick the
+#: operating point and --replications the batch width.
+_SCENARIO_FLAGS = {
+    "--topology": ("topology", {"choices": ("star", "hypercube")}),
+    "--order": ("order", {"type": int, "help": "star n / hypercube k"}),
+    "--algorithm": ("algorithm", {"help": "routing-registry name"}),
+    "--rate": (None, {"type": float, "help": "lambda_g, messages/cycle/node"}),
+    "--load": (None, {"type": float, "metavar": "F", "help": "operating point "
+                      "as a fraction of the model's saturation rate"}),
+    "--message-length": ("message_length", {"type": int, "help": "M, flits"}),
+    "--vcs": ("total_vcs", {"type": int, "help": "V, virtual channels per channel"}),
+    "--workload": ("workload", {"help": "spatial[+temporal] workload string"}),
+    "--seed": ("seed", {"type": int, "help": "master seed"}),
+    "--engine": ("engine", {"choices": ("object", "array"), "help": "simulation backend"}),
+    "--replications": (None, {"type": int, "metavar": "R", "help": "independent "
+                              "replications, seeds seed..seed+R-1 (R > 1 pools them "
+                              "with an across-replication CI; one vectorized batch "
+                              "on the array engine)"}),
+    "--quality": ("quality", {"choices": ("smoke", "quick", "full"),
+                              "help": "simulation window preset"}),
+    "--warmup": ("warmup_cycles", {"type": int, "help": "override the warmup window"}),
+    "--measure": ("measure_cycles", {"type": int, "help": "override the measurement window"}),
+    "--drain": ("drain_cycles", {"type": int, "help": "override the drain window"}),
 }
+
+#: Per-command scenario-flag defaults (dest -> value; None = unset).
+#: sim's engine is object, or array with --profile/--watch; validate's
+#: workloads default to a 3-workload suite.
+_FIGURE1_DEFAULTS = dict(seed=0, quality="quick")
+_SIM_DEFAULTS = dict(
+    topology="star", order=5, algorithm="enhanced_nbc", rate=0.001, load=None,
+    message_length=32, vcs=6, workload="uniform", seed=0, engine=None,
+    replications=1, quality="quick", warmup=None, measure=None, drain=None,
+)
+_VALIDATE_DEFAULTS = dict(
+    order=4, message_length=16, vcs=5, workload=None, seed=0, engine="object",
+    replications=1, quality="quick", warmup=None, measure=None, drain=None,
+)
+
+#: Sample rows ``sim --watch`` prints (the series is thinned to fit).
+_WATCH_ROWS = 16
+
+_PHASES = ("generation", "activation", "route", "complete", "other")
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _stride(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"probe stride must be >= 1, got {value}")
+    return value
+
+
+def _add_scenario_flags(parser, defaults, *, deferred=False, **overrides):
+    """Add the scenario flags named in ``defaults`` to ``parser``.
+
+    ``deferred`` parses every flag to None and leaves the defaults to
+    :func:`_resolved`, so a caller can tell an explicitly passed flag
+    from an omitted one.  ``overrides`` maps a dest to extra argparse
+    keywords for this command.
+    """
+    group = parser.add_mutually_exclusive_group() if "load" in defaults else parser
+    for flag, (_field, spec) in _SCENARIO_FLAGS.items():
+        dest = _dest(flag)
+        if dest not in defaults:
+            continue
+        kwargs = {**spec, **overrides.get(dest, {})}
+        default = defaults[dest]
+        if default is not None:
+            kwargs["help"] = f"{kwargs.get('help', '')} (default {default})".lstrip()
+        target = group if dest in ("rate", "load") else parser
+        target.add_argument(flag, default=None if deferred else default, **kwargs)
+
+
+def _resolved(args, defaults) -> dict:
+    """The command's scenario-flag values, omitted ones at their defaults."""
+    return {
+        dest: default if getattr(args, dest) is None else getattr(args, dest)
+        for dest, default in defaults.items()
+    }
+
+
+def _build_scenario(values) -> Scenario:
+    """The one Scenario the resolved scenario-flag values describe."""
+    return Scenario(
+        **{
+            field: values[_dest(flag)]
+            for flag, (field, _spec) in _SCENARIO_FLAGS.items()
+            if field is not None and _dest(flag) in values
+        }
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,9 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure1", help="reproduce a Figure-1 panel")
     fig.add_argument("--panel", choices=sorted(FIGURE1_PANELS), default="a")
-    fig.add_argument("--quality", choices=("smoke", "quick", "full"), default="quick")
+    _add_scenario_flags(fig, _FIGURE1_DEFAULTS)
     fig.add_argument("--no-sim", action="store_true", help="model curves only")
-    fig.add_argument("--seed", type=int, default=0)
     fig.add_argument("--save", metavar="DIR", help="write a JSON record to DIR")
     fig.add_argument("--workers", type=int, default=1, help="process-pool width")
 
@@ -167,141 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "finished plus periodic heartbeats) as JSONL to FILE",
     )
 
-    prof = sub.add_parser(
-        "profile",
-        help="per-phase kernel timing of one array-engine batch",
-        description=(
-            "Run one profiled batch on the array engine and print where "
-            "the kernel's wall time goes, phase by phase (generation / "
-            "activation / route / complete).  Profiling is observational: "
-            "results are bit-identical to an unprofiled run, and the "
-            "instrumentation is compiled in but completely off unless this "
-            "command (or profile=True) asks for it."
-        ),
-    )
-    prof.add_argument("--topology", choices=("star", "hypercube"), default="star")
-    prof.add_argument("--order", type=int, default=4, help="star n / hypercube k")
-    prof.add_argument(
-        "--algorithm", default="enhanced_nbc", help="routing-registry name"
-    )
-    prof.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="lambda_g, messages/cycle/node (default: --load of saturation)",
-    )
-    prof.add_argument(
-        "--load",
-        type=float,
-        default=0.4,
-        help="operating point as a fraction of the model's saturation rate, "
-        "used when --rate is not given",
-    )
-    prof.add_argument("--message-length", type=int, default=16, help="M, flits")
-    prof.add_argument("--vcs", type=int, default=6, help="V, virtual channels")
-    prof.add_argument(
-        "--workload", default="uniform", help="spatial[+temporal] workload string"
-    )
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument(
-        "--replications",
-        type=int,
-        default=8,
-        metavar="R",
-        help="batch width (all replications advance through the same "
-        "vectorized passes; the table shows whole-batch time)",
-    )
-    prof.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="kernel worker threads (0 = one per core)",
-    )
-    prof.add_argument(
-        "--quality", choices=("smoke", "quick", "full"), default="quick"
-    )
-    prof.add_argument("--warmup", type=int, help="override warmup cycles")
-    prof.add_argument("--measure", type=int, help="override the measurement window")
-    prof.add_argument("--drain", type=int, help="override the drain window")
-    prof.add_argument(
-        "--json",
-        action="store_true",
-        help="print one machine-readable JSON object instead of the table "
-        "(phase nanoseconds plus the run's identifying parameters)",
-    )
-
-    watch = sub.add_parser(
-        "watch",
-        help="cycle-resolution time-series probes of one array-engine run",
-        description=(
-            "Run one probed batch on the array engine and render the "
-            "sampled dynamics — in-flight messages, throughput, source "
-            "backlog and per-channel VC occupancy — as terminal "
-            "sparklines plus a sample table, or as JSONL with --out.  "
-            "Probing is observational: results are bit-identical to an "
-            "unprobed run.  The footer reports the MSER-based warmup "
-            "adequacy check (see docs/observability.md)."
-        ),
-    )
-    watch.add_argument("--topology", choices=("star", "hypercube"), default="star")
-    watch.add_argument("--order", type=int, default=4, help="star n / hypercube k")
-    watch.add_argument(
-        "--algorithm", default="enhanced_nbc", help="routing-registry name"
-    )
-    watch.add_argument(
-        "--rate",
-        type=float,
-        default=None,
-        help="lambda_g, messages/cycle/node (default: --load of saturation)",
-    )
-    watch.add_argument(
-        "--load",
-        type=float,
-        default=0.4,
-        help="operating point as a fraction of the model's saturation rate, "
-        "used when --rate is not given",
-    )
-    watch.add_argument("--message-length", type=int, default=16, help="M, flits")
-    watch.add_argument("--vcs", type=int, default=6, help="V, virtual channels")
-    watch.add_argument(
-        "--workload", default="uniform", help="spatial[+temporal] workload string"
-    )
-    watch.add_argument("--seed", type=int, default=0)
-    watch.add_argument(
-        "--replications",
-        type=int,
-        default=4,
-        metavar="R",
-        help="batch width (series aggregate over the whole batch)",
-    )
-    watch.add_argument(
-        "--quality", choices=("smoke", "quick", "full"), default="quick"
-    )
-    watch.add_argument("--warmup", type=int, help="override warmup cycles")
-    watch.add_argument("--measure", type=int, help="override the measurement window")
-    watch.add_argument("--drain", type=int, help="override the drain window")
-    watch.add_argument(
-        "--interval",
-        type=int,
-        default=None,
-        metavar="K",
-        help="probe stride in cycles (default: aimed at ~256 samples)",
-    )
-    watch.add_argument(
-        "--rows",
-        type=int,
-        default=16,
-        metavar="N",
-        help="sample rows to print in the table (the series is thinned)",
-    )
-    watch.add_argument(
-        "--out",
-        metavar="FILE",
-        help="write the samples as JSONL (one meta line, one line per "
-        "sample) instead of rendering",
-    )
-
     tr = sub.add_parser(
         "trace",
         help="trace-file tooling (export span events for chrome://tracing)",
@@ -332,31 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Run a single wormhole simulation with full workload control.  "
             "The workload string follows the spatial[+temporal] grammar, e.g. "
-            "'hotspot(fraction=0.2)+onoff(duty=0.25,burst=8)'."
+            "'hotspot(fraction=0.2)+onoff(duty=0.25,burst=8)'.  --profile "
+            "and --watch observe the array kernel (per-phase wall time, "
+            "time-series probes) without changing any result."
         ),
     )
-    sim.add_argument("--topology", choices=("star", "hypercube"), default="star")
-    sim.add_argument("--order", type=int, default=5, help="star n / hypercube k")
-    sim.add_argument("--algorithm", default="enhanced_nbc", help="routing-registry name")
-    sim.add_argument("--rate", type=float, default=0.001, help="lambda_g, messages/cycle/node")
-    sim.add_argument("--message-length", type=int, default=32, help="M, flits")
-    sim.add_argument("--vcs", type=int, default=6, help="V, virtual channels per channel")
-    sim.add_argument("--workload", default="uniform", help="spatial[+temporal] workload string")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default="object",
-        help="simulation backend (array = vectorized batch kernels)",
-    )
-    sim.add_argument(
-        "--replications",
-        type=int,
-        default=1,
-        metavar="R",
-        help="independent seeds (seed..seed+R-1); R > 1 prints per-seed "
-        "rows plus a pooled summary (one vectorized process on the "
-        "array engine)",
+    _add_scenario_flags(
+        sim,
+        _SIM_DEFAULTS,
+        engine={
+            "help": "simulation backend: object (the reference) or array "
+            "(vectorized batch kernels; the default with --profile/--watch)"
+        },
     )
     sim.add_argument(
         "--jobs",
@@ -367,11 +302,32 @@ def build_parser() -> argparse.ArgumentParser:
         "core; results are bit-identical for every value); overrides "
         "STARNET_THREADS, ignored by the object engine",
     )
-    sim.add_argument("--quality", choices=("smoke", "quick", "full"), default="quick")
-    sim.add_argument("--warmup", type=int, help="override the quality preset's warmup cycles")
-    sim.add_argument("--measure", type=int, help="override the measurement window")
-    sim.add_argument("--drain", type=int, help="override the drain window")
     sim.add_argument("--hops", action="store_true", help="also print per-hop blocking")
+    sim.add_argument(
+        "--profile",
+        action="store_true",
+        help="also print where the array kernel's wall time goes, phase "
+        "by phase, for the whole batch (observational: results stay "
+        "bit-identical)",
+    )
+    sim.add_argument(
+        "--watch",
+        type=_stride,
+        nargs="?",
+        const=0,  # the default stride; an explicit K must be >= 1
+        default=None,
+        metavar="K",
+        help="also probe the array kernel every K cycles (default stride: "
+        "~256 samples) and print in-flight, throughput and backlog "
+        "sparklines, a sample table and the MSER warmup verdict "
+        "(observational: results stay bit-identical)",
+    )
+    sim.add_argument(
+        "--json",
+        action="store_true",
+        help="print only JSON lines for --profile/--watch: one profile "
+        "record, then one probe meta line and one line per sample",
+    )
 
     val = sub.add_parser(
         "validate",
@@ -382,58 +338,22 @@ def build_parser() -> argparse.ArgumentParser:
             "per-workload accuracy in the mutually stable region."
         ),
     )
-    val.add_argument(
-        "--workload",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="workload to validate (repeatable); default: a 3-workload suite",
-    )
-    # Scenario flags default to None so --preset can detect (and reject)
-    # explicit values that would silently contradict the preset scenario;
-    # without --preset they resolve through _VALIDATE_DEFAULTS.
-    val.add_argument(
-        "--order", type=int, default=None,
-        help=f"star order n (default {_VALIDATE_DEFAULTS['order']})",
-    )
-    val.add_argument(
-        "--message-length", type=int, default=None,
-        help=f"M, flits (default {_VALIDATE_DEFAULTS['message_length']})",
-    )
-    val.add_argument(
-        "--vcs", type=int, default=None,
-        help=f"V (default {_VALIDATE_DEFAULTS['vcs']})",
+    # Deferred: --preset rejects explicitly passed scenario flags, which
+    # would silently contradict the preset scenario.
+    _add_scenario_flags(
+        val,
+        _VALIDATE_DEFAULTS,
+        deferred=True,
+        workload={
+            "action": "append",
+            "metavar": "SPEC",
+            "help": "workload to validate (repeatable); default: a 3-workload suite",
+        },
     )
     val.add_argument(
         "--fractions",
         default="0.2,0.4,0.6",
         help="load points as fractions of the binding saturation rate",
-    )
-    val.add_argument(
-        "--quality", choices=("smoke", "quick", "full"), default=None,
-        help=f"simulation window preset (default {_VALIDATE_DEFAULTS['quality']})",
-    )
-    val.add_argument(
-        "--warmup", type=int, default=None,
-        help="override the quality preset's warmup cycles",
-    )
-    val.add_argument(
-        "--measure", type=int, default=None,
-        help="override the measurement window",
-    )
-    val.add_argument(
-        "--drain", type=int, default=None, help="override the drain window"
-    )
-    val.add_argument(
-        "--seed", type=int, default=None,
-        help=f"master seed (default {_VALIDATE_DEFAULTS['seed']})",
-    )
-    val.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default=None,
-        help="simulation backend used for the sim side of the comparison "
-        f"(default {_VALIDATE_DEFAULTS['engine']})",
     )
     val.add_argument("--workers", type=int, default=1, help="process-pool width")
     val.add_argument(
@@ -448,14 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         help="fail (exit 1) when a workload's mean relative error exceeds this",
-    )
-    val.add_argument(
-        "--replications",
-        type=int,
-        default=1,
-        metavar="R",
-        help="pool R sim replications per point (sim_batch units with an "
-        "across-replication CI) instead of one run",
     )
     val.add_argument(
         "--hops",
@@ -620,219 +532,6 @@ def _run_campaign_command(args) -> int:
     return 0
 
 
-def _run_profile_command(args) -> int:
-    from repro.simulation.backends import simulate_batch
-    from repro.simulation.config import resolve_threads
-
-    try:
-        if args.replications < 1:
-            raise ConfigurationError("--replications must be >= 1")
-        if args.jobs is not None:
-            resolve_threads(args.jobs, None)
-        scenario = Scenario(
-            topology=args.topology,
-            order=args.order,
-            algorithm=args.algorithm,
-            message_length=args.message_length,
-            total_vcs=args.vcs,
-            workload=args.workload,
-            quality=args.quality,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            drain_cycles=args.drain,
-            engine="array",
-            seed=args.seed,
-        )
-        rate = args.rate
-        if rate is None:
-            if not 0 < args.load < 1:
-                raise ConfigurationError(
-                    f"--load must be in (0, 1), got {args.load}"
-                )
-            rate = round(args.load * scenario.saturation_rate(), 6)
-        spec = scenario.sim_spec(rate)
-        topo, algo, run_config = spec.build()
-        results = simulate_batch(
-            topo,
-            algo,
-            run_config,
-            args.replications,
-            threads=args.jobs,
-            profile=True,
-        )
-    except ConfigurationError as exc:
-        print(f"starnet profile: error: {exc}", file=sys.stderr)
-        return 2
-    prof = results[0].phase_ns or {}
-    total = prof.get("total", 0) or 1
-    cycles = prof.get("cycles", 0)
-    if args.json:
-        import json
-
-        record = {
-            "command": "profile",
-            "topology": args.topology,
-            "order": args.order,
-            "algorithm": args.algorithm,
-            "workload": run_config.workload_spec().canonical,
-            "rate": rate,
-            "message_length": args.message_length,
-            "total_vcs": args.vcs,
-            "replications": args.replications,
-            "cycles": int(cycles),
-            "total_ns": int(total),
-            "phases": {
-                phase: int(prof.get(phase, 0))
-                for phase in ("generation", "activation", "route", "complete", "other")
-            },
-        }
-        print(json.dumps(record, sort_keys=True))
-        return 0
-    print(
-        f"profile[{args.topology} order={args.order} {args.algorithm}] "
-        f"workload={run_config.workload_spec().canonical} rate={rate} "
-        f"M={args.message_length} V={args.vcs} "
-        f"replications={args.replications} cycles={cycles}"
-    )
-    rows = []
-    for phase in ("generation", "activation", "route", "complete", "other"):
-        ns = int(prof.get(phase, 0))
-        rows.append(
-            [
-                phase,
-                ns,
-                f"{100.0 * ns / total:.1f}%",
-                round(ns / cycles, 1) if cycles else "",
-            ]
-        )
-    rows.append(["total", int(total), "100.0%", round(total / cycles, 1) if cycles else ""])
-    print()
-    print(render_table(["phase", "ns", "share", "ns/cycle"], rows))
-    return 0
-
-
-def _run_watch_command(args) -> int:
-    import json
-
-    from repro.obs import (
-        default_probe_interval,
-        series_rows,
-        sparkline,
-        warmup_adequacy,
-    )
-    from repro.simulation.backends import simulate_batch
-
-    try:
-        if args.replications < 1:
-            raise ConfigurationError("--replications must be >= 1")
-        scenario = Scenario(
-            topology=args.topology,
-            order=args.order,
-            algorithm=args.algorithm,
-            message_length=args.message_length,
-            total_vcs=args.vcs,
-            workload=args.workload,
-            quality=args.quality,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            drain_cycles=args.drain,
-            engine="array",
-            seed=args.seed,
-        )
-        rate = args.rate
-        if rate is None:
-            if not 0 < args.load < 1:
-                raise ConfigurationError(
-                    f"--load must be in (0, 1), got {args.load}"
-                )
-            rate = round(args.load * scenario.saturation_rate(), 6)
-        spec = scenario.sim_spec(rate)
-        topo, algo, run_config = spec.build()
-        horizon = run_config.warmup_cycles + run_config.measure_cycles
-        interval = (
-            args.interval
-            if args.interval is not None
-            else default_probe_interval(horizon)
-        )
-        results = simulate_batch(
-            topo, algo, run_config, args.replications, probe_interval=interval
-        )
-    except ConfigurationError as exc:
-        print(f"starnet watch: error: {exc}", file=sys.stderr)
-        return 2
-    series = results[0].timeseries or {}
-    adequacy = warmup_adequacy(
-        series, run_config.warmup_cycles, measure_end=horizon
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            meta = {
-                "type": "meta",
-                "topology": args.topology,
-                "order": args.order,
-                "algorithm": args.algorithm,
-                "workload": run_config.workload_spec().canonical,
-                "rate": rate,
-                "replications": args.replications,
-                "interval": series.get("interval", interval),
-                "total_vcs": series.get("total_vcs", args.vcs),
-                "samples": len(series.get("cycles", [])),
-                "warmup_adequacy": adequacy,
-            }
-            handle.write(json.dumps(meta, sort_keys=True) + "\n")
-            for i, cycle in enumerate(series.get("cycles", [])):
-                handle.write(
-                    json.dumps(
-                        {
-                            "type": "sample",
-                            "cycle": cycle,
-                            "in_flight": series["in_flight"][i],
-                            "completed": series["completed"][i],
-                            "throughput": series["throughput"][i],
-                            "backlog": series["backlog"][i],
-                            "occupancy": series["occupancy"][i],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        print(f"probes: {args.out} ({meta['samples']} samples)")
-        return 0
-    print(
-        f"watch[{args.topology} order={args.order} {args.algorithm}] "
-        f"workload={run_config.workload_spec().canonical} rate={rate} "
-        f"M={args.message_length} V={args.vcs} "
-        f"replications={args.replications} interval={interval} "
-        f"samples={len(series.get('cycles', []))}"
-    )
-    print()
-    for name in ("in_flight", "throughput", "backlog"):
-        values = series.get(name, [])
-        peak = max(values) if values else 0
-        print(f"  {name:<11} {sparkline(values)}  peak={round(peak, 4)}")
-    rows = series_rows(
-        series, every=max(1, len(series.get("cycles", [])) // max(1, args.rows))
-    )
-    headers = ["cycle", "in_flight", "throughput", "backlog", "max_busy_vcs"]
-    print()
-    print(render_table(headers, [[row[h] for h in headers] for row in rows]))
-    print()
-    if adequacy["adequate"]:
-        print(
-            f"warmup: ok (warmup_cycles={adequacy['warmup_cycles']}, "
-            f"MSER truncation at cycle {adequacy['truncation_cycle']})"
-        )
-    else:
-        print(
-            f"warmup: WARNING: warmup_cycles={adequacy['warmup_cycles']} ends "
-            f"before the measured transient (MSER truncation at cycle "
-            f"{adequacy['truncation_cycle']}, post-warmup effect "
-            f"{adequacy['post_warmup_effect']} sd) — consider --warmup >= "
-            f"{adequacy['truncation_cycle']}"
-        )
-    return 0
-
-
 def _run_trace_command(args) -> int:
     from pathlib import Path
 
@@ -865,89 +564,200 @@ def _run_trace_command(args) -> int:
     return 2
 
 
+def _metric_row(result) -> dict:
+    """A result's scalar metrics (the observation payloads print apart)."""
+    row = result.as_dict()
+    row.pop("phase_ns", None)
+    row.pop("timeseries", None)
+    return row
+
+
+def _profile_table(prof: dict) -> str:
+    total = prof.get("total", 0) or 1
+    cycles = prof.get("cycles", 0)
+    rows = []
+    for phase, ns in [(p, int(prof.get(p, 0))) for p in _PHASES] + [("total", int(total))]:
+        rows.append(
+            [phase, ns, f"{100.0 * ns / total:.1f}%", round(ns / cycles, 1) if cycles else ""]
+        )
+    return render_table(["phase", "ns", "share", "ns/cycle"], rows)
+
+
+def _watch_report(series: dict, adequacy: dict) -> str:
+    from repro.obs import series_rows, sparkline
+
+    lines = []
+    for name in ("in_flight", "throughput", "backlog"):
+        values = series.get(name, [])
+        peak = max(values) if values else 0
+        lines.append(f"  {name:<11} {sparkline(values)}  peak={round(peak, 4)}")
+    rows = series_rows(
+        series, every=max(1, len(series.get("cycles", [])) // _WATCH_ROWS)
+    )
+    headers = ["cycle", "in_flight", "throughput", "backlog", "max_busy_vcs"]
+    lines += ["", render_table(headers, [[row[h] for h in headers] for row in rows]), ""]
+    if adequacy["adequate"]:
+        lines.append(
+            f"warmup: ok (warmup_cycles={adequacy['warmup_cycles']}, "
+            f"MSER truncation at cycle {adequacy['truncation_cycle']})"
+        )
+    else:
+        lines.append(
+            f"warmup: WARNING: warmup_cycles={adequacy['warmup_cycles']} ends "
+            f"before the measured transient (MSER truncation at cycle "
+            f"{adequacy['truncation_cycle']}, post-warmup effect "
+            f"{adequacy['post_warmup_effect']} sd) — consider --warmup >= "
+            f"{adequacy['truncation_cycle']}"
+        )
+    return "\n".join(lines)
+
+
+def _probe_lines(ident: dict, series: dict, adequacy: dict):
+    """``sim --watch --json``: one meta line, then one line per sample."""
+    cycles = series.get("cycles", [])
+    meta = {
+        "type": "meta",
+        **ident,
+        "interval": series.get("interval"),
+        "total_vcs": series.get("total_vcs", ident["total_vcs"]),
+        "samples": len(cycles),
+        "warmup_adequacy": adequacy,
+    }
+    yield json.dumps(meta, sort_keys=True)
+    for i, cycle in enumerate(cycles):
+        sample = {"type": "sample", "cycle": cycle}
+        for name in ("in_flight", "completed", "throughput", "backlog", "occupancy"):
+            sample[name] = series[name][i]
+        yield json.dumps(sample, sort_keys=True)
+
+
 def _run_sim_command(args) -> int:
-    from repro.simulation import summarize_batch
-    from repro.simulation.backends import simulate, simulate_batch
+    from repro.obs import default_probe_interval, warmup_adequacy
+    from repro.simulation.backends import simulate_batch
     from repro.simulation.config import resolve_threads
 
+    v = _resolved(args, _SIM_DEFAULTS)
+    observed = args.profile or args.watch is not None
     try:
-        if args.replications < 1:
+        if v["replications"] < 1:
             raise ConfigurationError("--replications must be >= 1")
+        if args.json and not observed:
+            raise ConfigurationError("--json needs --profile or --watch")
+        if v["engine"] is None:
+            v["engine"] = "array" if observed else "object"
+        elif observed and v["engine"] != "array":
+            raise ConfigurationError(
+                "--profile/--watch observe the array kernel; drop --engine "
+                f"{v['engine']}"
+            )
         if args.jobs is not None:
             # Eager validation; the object engine ignores the value.
             resolve_threads(args.jobs, None)
         # One declarative description of the run — the Scenario facade
         # canonicalises the workload and builds the SimSpec.
-        scenario = Scenario(
-            topology=args.topology,
-            order=args.order,
-            algorithm=args.algorithm,
-            message_length=args.message_length,
-            total_vcs=args.vcs,
-            workload=args.workload,
-            quality=args.quality,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            drain_cycles=args.drain,
-            engine=args.engine,
-            seed=args.seed,
-        )
-        spec = scenario.sim_spec(args.rate)
-        config = spec.config
+        scenario = _build_scenario(v)
+        rate = v["rate"]
+        if v["load"] is not None:
+            if not 0 < v["load"] < 1:
+                raise ConfigurationError(f"--load must be in (0, 1), got {v['load']}")
+            rate = round(v["load"] * scenario.saturation_rate(), 6)
         # Topology/algorithm names only resolve when the spec is built,
         # so run() failures are configuration errors too.
-        topo, algo, run_config = spec.build()
-        if args.replications == 1:
-            result = simulate(topo, algo, run_config, threads=args.jobs)
-            results = [result]
-        else:
-            results = simulate_batch(
-                topo, algo, run_config, args.replications, threads=args.jobs
-            )
-            result = results[0]
+        topo, algo, config = scenario.sim_spec(rate).build()
+        horizon = config.warmup_cycles + config.measure_cycles
+        interval = args.watch
+        if interval == 0:
+            interval = default_probe_interval(horizon)
+        results = simulate_batch(
+            topo,
+            algo,
+            config,
+            v["replications"],
+            threads=args.jobs,
+            profile=args.profile,
+            probe_interval=interval,
+        )
     except ConfigurationError as exc:
         print(f"starnet sim: error: {exc}", file=sys.stderr)
         return 2
-    print(
-        f"sim[{args.topology} order={args.order} {args.algorithm}] "
-        f"workload={config.workload_spec().canonical} rate={args.rate} "
-        f"M={args.message_length} V={args.vcs} seed={args.seed} "
-        f"engine={args.engine}"
-        + (f" replications={args.replications}" if args.replications > 1 else "")
-    )
-    if args.replications > 1:
-        headers = ["seed"] + list(results[0].as_dict().keys())
-        rows = [
-            [config.seed + i, *res.as_dict().values()]
-            for i, res in enumerate(results)
-        ]
+    R = v["replications"]
+    result = results[0]
+    # The run's identity, as the --json lines carry it.
+    ident = {
+        "topology": v["topology"],
+        "order": v["order"],
+        "algorithm": v["algorithm"],
+        "workload": config.workload_spec().canonical,
+        "rate": rate,
+        "replications": R,
+        "total_vcs": v["vcs"],
+    }
+    if not args.json:
+        print(
+            f"sim[{v['topology']} order={v['order']} {v['algorithm']}] "
+            f"workload={ident['workload']} rate={rate} "
+            f"M={v['message_length']} V={v['vcs']} seed={v['seed']} "
+            f"engine={v['engine']}"
+            + (f" replications={R}" if R > 1 else "")
+        )
+        _print_metrics(results, config.seed, args.hops)
+    if args.profile:
+        prof = result.phase_ns or {}
+        if args.json:
+            record = {
+                "type": "profile",
+                "command": "profile",
+                **ident,
+                "message_length": v["message_length"],
+                "cycles": int(prof.get("cycles", 0)),
+                "total_ns": int(prof.get("total", 0) or 1),
+                "phases": {phase: int(prof.get(phase, 0)) for phase in _PHASES},
+            }
+            print(json.dumps(record, sort_keys=True))
+        else:
+            print(f"\nprofile: whole batch of {R} replication(s), cycles={prof.get('cycles', 0)}")
+            print(_profile_table(prof))
+    if interval is not None:
+        series = result.timeseries or {}
+        adequacy = warmup_adequacy(series, config.warmup_cycles, measure_end=horizon)
+        if args.json:
+            for line in _probe_lines(ident, series, adequacy):
+                print(line)
+        else:
+            print(
+                f"\nprobes: interval={interval} samples="
+                f"{len(series.get('cycles', []))} (summed over the batch)"
+            )
+            print(_watch_report(series, adequacy))
+    return 0
+
+
+def _print_metrics(results, seed: int, hops: bool) -> None:
+    """The metric table of one run, or per-seed rows plus the pooled
+    summary of a batch, then the per-hop blocking table with ``hops``."""
+    from repro.simulation import summarize_batch
+
+    result = results[0]
+    if len(results) > 1:
+        headers = ["seed"] + list(_metric_row(result))
+        rows = [[seed + i, *_metric_row(res).values()] for i, res in enumerate(results)]
         print(render_table(headers, rows))
         print()
         pooled = summarize_batch(results)
-        scalars = [
-            (k, v) for k, v in pooled.items() if not isinstance(v, (list, dict))
-        ]
+        scalars = [(k, v) for k, v in pooled.items() if not isinstance(v, (list, dict))]
         print(render_table(["pooled metric", "value"], scalars))
+        hop_rows = pooled.get("hop_blocking") or []
+        title = f"pooled per-hop blocking ({len(results)} replications):"
     else:
-        pooled = None
-        rows = [[key, value] for key, value in result.as_dict().items()]
-        print(render_table(["metric", "value"], rows))
-    if args.hops:
-        if pooled is not None:
-            hop_rows = pooled.get("hop_blocking") or []
-            title = f"pooled per-hop blocking ({args.replications} replications):"
-        else:
-            hop_rows = (
-                result.hop_blocking.as_rows() if result.hop_blocking is not None else []
-            )
-            title = None
-        if hop_rows:
-            headers = list(hop_rows[0].keys())
-            print()
-            if title:
-                print(title)
-            print(render_table(headers, [[row[h] for h in headers] for row in hop_rows]))
-    return 0
+        print(render_table(["metric", "value"], list(_metric_row(result).items())))
+        hop_rows = result.hop_blocking.as_rows() if result.hop_blocking is not None else []
+        title = None
+    if hops and hop_rows:
+        headers = list(hop_rows[0].keys())
+        print()
+        if title:
+            print(title)
+        print(render_table(headers, [[row[h] for h in headers] for row in hop_rows]))
 
 
 def _bound_check_table(scenario, record, cache_dir) -> tuple[str, bool, "object"]:
@@ -1016,32 +826,24 @@ def _run_validate_command(args) -> int:
         validate_workloads,
     )
 
+    v = _resolved(args, _VALIDATE_DEFAULTS)
     try:
-        if args.replications < 1:
+        if v["replications"] < 1:
             raise ConfigurationError("--replications must be >= 1")
         fractions = tuple(float(tok) for tok in args.fractions.split(","))
         if args.preset:
             # A standing cross-check suite: each preset is one scenario +
             # workload with a *stated* tolerance (overridable by
-            # --tolerance); exceeding it fails the run.  Scenario flags
-            # would silently contradict the preset, so they are rejected.
+            # --tolerance); exceeding it fails the run.  Flags that set
+            # a Scenario field would silently contradict the preset, so
+            # they are rejected.
             conflicting = [
                 flag
-                for flag, value in (
-                    ("--order", args.order),
-                    ("--message-length", args.message_length),
-                    ("--vcs", args.vcs),
-                    ("--quality", args.quality),
-                    ("--warmup", args.warmup),
-                    ("--measure", args.measure),
-                    ("--drain", args.drain),
-                    ("--seed", args.seed),
-                    ("--engine", args.engine),
-                )
-                if value is not None
+                for flag, (field, _spec) in _SCENARIO_FLAGS.items()
+                if field is not None
+                and _dest(flag) in _VALIDATE_DEFAULTS
+                and getattr(args, _dest(flag)) is not None
             ]
-            if args.workload:
-                conflicting.append("--workload")
             if conflicting:
                 raise ConfigurationError(
                     f"--preset fixes the scenario; drop {', '.join(conflicting)}"
@@ -1055,27 +857,13 @@ def _run_validate_command(args) -> int:
                 for p in preset_suite(args.preset)
             ]
         else:
-            # The shared validation knobs travel as one Scenario facade.
-            def _resolve(name):
-                value = getattr(args, name)
-                return value if value is not None else _VALIDATE_DEFAULTS[name]
-
-            scenario = Scenario(
-                topology="star",
-                order=_resolve("order"),
-                message_length=_resolve("message_length"),
-                total_vcs=_resolve("vcs"),
-                quality=_resolve("quality"),
-                warmup_cycles=args.warmup,
-                measure_cycles=args.measure,
-                drain_cycles=args.drain,
-                seed=_resolve("seed"),
-                engine=_resolve("engine"),
-            )
+            # The shared validation knobs travel as one Scenario facade;
+            # the workloads become its campaign axis.
+            workloads = v.pop("workload")
             jobs = [
                 (
-                    scenario,
-                    tuple(args.workload) if args.workload else DEFAULT_WORKLOADS,
+                    _build_scenario(v),
+                    tuple(workloads) if workloads else DEFAULT_WORKLOADS,
                     args.tolerance,
                 )
             ]
@@ -1088,7 +876,7 @@ def _run_validate_command(args) -> int:
                 workers=args.workers,
                 jobs=args.jobs,
                 tolerance=tolerance,
-                replications=args.replications,
+                replications=v["replications"],
                 hops=args.hops,
                 cache_dir=args.cache_dir,
             ):
@@ -1262,10 +1050,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     elif args.command == "sim":
         return _run_sim_command(args)
-    elif args.command == "profile":
-        return _run_profile_command(args)
-    elif args.command == "watch":
-        return _run_watch_command(args)
     elif args.command == "trace":
         return _run_trace_command(args)
     elif args.command == "validate":

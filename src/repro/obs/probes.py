@@ -15,7 +15,7 @@ turns those raw ring buffers into the surfaced artefacts:
   validate`` can warn when the configured warmup window ends before
   the transient has died out;
 * :func:`sparkline` / :func:`series_rows` — terminal rendering for
-  ``starnet watch``.
+  ``starnet sim --watch``.
 
 Unlike the rest of :mod:`repro.obs` this module depends on numpy (it
 post-processes kernel buffers); it stays import-safe from worker
@@ -262,7 +262,7 @@ def sparkline(values, width: int = 60) -> str:
 
 
 def series_rows(timeseries: dict, every: int = 1) -> list[dict]:
-    """Flatten a time-series dict into table rows (``starnet watch``).
+    """Flatten a time-series dict into table rows (``starnet sim --watch``).
 
     One row per retained sample: cycle, in-flight, throughput, backlog
     and the busiest occupancy bin.  ``every`` keeps each ``every``-th

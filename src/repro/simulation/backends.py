@@ -12,7 +12,8 @@ one process (see ``docs/simulation.md`` for the equivalence contract).
 The backend is named by :attr:`SimulationConfig.engine`, and every entry
 point — ``SimSpec.run``, the campaign ``sim``/``sim_batch`` kinds, the
 ``starnet sim``/``campaign``/``validate`` CLI — routes through
-:func:`simulate` / :func:`simulate_batch` here.
+:func:`simulate_many` here; :func:`simulate` (one config) and
+:func:`simulate_batch` (one config, R seeds) are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -111,18 +112,15 @@ def simulate(
     probe_interval: int | None = None,
 ) -> SimulationResult:
     """Run one simulation on the selected backend."""
-    name = _resolve(engine, config)
-    if name == "object":
-        return _engine.simulate(topology, algorithm, config)
-    result = ArraySimulator(
+    return simulate_many(
         topology,
         algorithm,
-        config,
+        [config],
+        engine=engine,
         threads=threads,
         profile=profile,
         probe_interval=probe_interval,
-    ).run()
-    return result[0]
+    )[0]
 
 
 def simulate_batch(
@@ -155,20 +153,15 @@ def simulate_batch(
             raise ConfigurationError(
                 f"got {len(seeds)} seeds for {replications} replications"
             )
-    name = _resolve(engine, config)
-    if name == "object":
-        return [
-            _engine.simulate(topology, algorithm, config.with_seed(s)) for s in seeds
-        ]
-    return ArraySimulator(
+    return simulate_many(
         topology,
         algorithm,
-        config,
-        seeds=seeds,
+        [config if s == config.seed else config.with_seed(s) for s in seeds],
+        engine=engine,
         threads=threads,
         profile=profile,
         probe_interval=probe_interval,
-    ).run()
+    )
 
 
 def simulate_many(

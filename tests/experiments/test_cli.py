@@ -284,6 +284,28 @@ class TestValidateCommand:
         assert main(argv) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--order", "4"),
+            ("--message-length", "16"),
+            ("--vcs", "5"),
+            ("--workload", "uniform"),
+            ("--seed", "0"),
+            ("--engine", "object"),
+            ("--quality", "quick"),
+            ("--warmup", "100"),
+            ("--measure", "400"),
+            ("--drain", "800"),
+        ],
+    )
+    def test_preset_rejects_each_scenario_flag(self, flag, value, capsys):
+        """Every scenario flag conflicts with --preset, even at its default."""
+        assert main(["validate", "--preset", "s5", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "--preset fixes the scenario" in err
+        assert f"drop {flag}" in err
+
     def test_preset_rejects_conflicting_scenario_flags(self, capsys):
         argv = ["validate", "--preset", "s5", "--order", "4", "--engine", "object"]
         assert main(argv) == 2

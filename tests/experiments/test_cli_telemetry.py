@@ -1,59 +1,47 @@
-"""CLI telemetry commands: watch, profile --json, trace export, warmup checks."""
+"""CLI telemetry: sim --profile/--watch/--json, trace export, warmup checks."""
 
 from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments.cli import main
 from repro.obs import EventSink, TraceContext, emit_span
 
 
+_S4 = [
+    "sim",
+    "--order",
+    "4",
+    "--message-length",
+    "16",
+    "--vcs",
+    "5",
+    "--load",
+    "0.4",
+    "--quality",
+    "smoke",
+]
+
+
 class TestWatchCommand:
+    """``sim --watch``: the probe view, terminal and JSON lines."""
+
     def test_renders_sparklines_and_warmup_footer(self, capsys):
-        assert (
-            main(
-                [
-                    "watch",
-                    "--order",
-                    "4",
-                    "--vcs",
-                    "5",
-                    "--quality",
-                    "smoke",
-                    "--replications",
-                    "2",
-                ]
-            )
-            == 0
-        )
+        assert main(_S4 + ["--replications", "2", "--watch"]) == 0
         out = capsys.readouterr().out
         assert "in_flight" in out and "throughput" in out and "backlog" in out
         assert "▁" in out or "█" in out  # sparkline glyphs rendered
         assert "warmup:" in out
         assert "cycle" in out  # the sample table header
+        assert "probes:" in out
+        assert "engine=array" in out  # --watch defaults to the array engine
 
-    def test_out_writes_meta_plus_samples_jsonl(self, tmp_path, capsys):
-        out_file = tmp_path / "probes.jsonl"
-        assert (
-            main(
-                [
-                    "watch",
-                    "--order",
-                    "4",
-                    "--vcs",
-                    "5",
-                    "--quality",
-                    "smoke",
-                    "--replications",
-                    "2",
-                    "--out",
-                    str(out_file),
-                ]
-            )
-            == 0
-        )
-        assert "probes:" in capsys.readouterr().out
-        lines = [json.loads(line) for line in out_file.read_text().splitlines()]
+    def test_out_writes_meta_plus_samples_jsonl(self, capsys):
+        argv = _S4 + ["--replications", "2", "--watch", "--json"]
+        assert main(argv) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         meta, samples = lines[0], lines[1:]
         assert meta["type"] == "meta"
         assert "warmup_adequacy" in meta
@@ -66,12 +54,24 @@ class TestWatchCommand:
         cycles = [s["cycle"] for s in samples]
         assert cycles == sorted(cycles)
 
+    def test_explicit_stride_and_determinism(self, capsys):
+        argv = _S4 + ["--watch", "9", "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first  # probes are a pure function of the seed
+        meta = json.loads(first.splitlines()[0])
+        assert meta["interval"] == 9
+
 
 class TestProfileJson:
+    """``sim --profile``: the phase table and its JSON record."""
+
     def test_json_flag_round_trips(self, capsys):
-        assert main(["profile", "--order", "4", "--quality", "smoke", "--json"]) == 0
+        assert main(["sim", "--order", "4", "--quality", "smoke", "--profile", "--json"]) == 0
         out = capsys.readouterr().out
         record = json.loads(out)  # exactly one JSON document on stdout
+        assert record["type"] == "profile"
         assert record["command"] == "profile"
         assert record["topology"] == "star" and record["order"] == 4
         assert set(record["phases"]) == {
@@ -85,9 +85,61 @@ class TestProfileJson:
         assert record["cycles"] > 0
 
     def test_table_mode_is_not_json(self, capsys):
-        assert main(["profile", "--order", "4", "--quality", "smoke"]) == 0
+        assert main(["sim", "--order", "4", "--quality", "smoke", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "phase" in out  # human table, not a JSON document
+
+    def test_profile_and_watch_lines_share_one_stream(self, capsys):
+        argv = _S4 + ["--profile", "--watch", "--json"]
+        assert main(argv) == 0
+        types = [json.loads(line)["type"] for line in capsys.readouterr().out.splitlines()]
+        assert types[:2] == ["profile", "meta"]
+        assert set(types[2:]) == {"sample"}
+
+
+class TestSimObservationFlags:
+    def test_observation_leaves_the_metric_table_unchanged(self, capsys):
+        base = _S4 + ["--engine", "array", "--replications", "2", "--seed", "3"]
+        assert main(base) == 0
+        plain = capsys.readouterr().out
+        assert main(base + ["--profile", "--watch"]) == 0
+        observed = capsys.readouterr().out
+        assert "mean_latency" in plain
+        # The observed run prints the identical header and metric tables,
+        # then its profile and probe sections.
+        assert observed.startswith(plain)
+        assert "profile:" in observed[len(plain):]
+        assert "probes:" in observed[len(plain):]
+
+    def test_rate_and_load_are_mutually_exclusive(self, capsys):
+        argv = ["sim", "--order", "4", "--rate", "0.01", "--load", "0.6", "--profile"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_json_needs_an_observation_flag(self, capsys):
+        assert main(["sim", "--order", "4", "--quality", "smoke", "--json"]) == 2
+        assert "--json needs --profile or --watch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--profile"], ["--watch"], ["--watch", "5"]])
+    def test_object_engine_is_rejected(self, flag, capsys):
+        argv = ["sim", "--order", "4", "--engine", "object", *flag]
+        assert main(argv) == 2
+        assert "drop --engine object" in capsys.readouterr().err
+
+    def test_zero_stride_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--order", "4", "--watch", "0"])
+        assert exc.value.code == 2
+        assert "probe stride must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profile", "watch"])
+    def test_folded_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--order", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTraceExport:
