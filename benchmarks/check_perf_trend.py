@@ -35,7 +35,6 @@ from pathlib import Path
 GUARDED = (
     "test_bench_engine_speedup_s4",
     "test_bench_campaign_fused_sweep",
-    "test_bench_campaign_threaded_sweep",
     "test_bench_model_solve",
     "test_bench_service_warm_query",
     "test_bench_service_surrogate_query",

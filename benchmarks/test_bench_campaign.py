@@ -127,74 +127,3 @@ def test_bench_campaign_fused_sweep(benchmark, once):
     assert speedup >= 1.0, (
         f"fused sweep slower than per-unit dispatch ({speedup:.2f}x)"
     )
-
-
-def test_bench_campaign_threaded_sweep(benchmark, once):
-    """Kernel worker pool: the 16-rep S4 batch on 4 threads vs 1.
-
-    The ISSUE-8 acceptance gate: the in-C worker pool must advance the
-    PR-3 acceptance batch (16 replications of S4 at 0.4 saturation,
-    M = 128, V = 6) at least 3x faster with 4 threads than serially,
-    while staying bit-identical.  Skipped where the hardware or the C
-    toolchain cannot express it.
-    """
-    import pytest
-
-    from repro.core.spec import ModelSpec
-    from repro.routing import EnhancedNbc
-    from repro.simulation import ArraySimulator, SimulationConfig
-    from repro.simulation.ckernel import load_kernel
-    from repro.topology import StarGraph
-
-    cpus = os.cpu_count() or 1
-    if load_kernel() is None:
-        pytest.skip("compiled cycle kernel unavailable (no C compiler)")
-    if cpus < 4:
-        pytest.skip(f"threaded speedup gate needs >= 4 CPUs, have {cpus}")
-
-    sat = (
-        ModelSpec(topology="star", order=4, message_length=128, total_vcs=6)
-        .build()
-        .saturation_rate()
-    )
-    cfg = SimulationConfig(
-        message_length=128,
-        generation_rate=round(0.4 * sat, 6),
-        total_vcs=6,
-        seed=0,
-        warmup_cycles=500,
-        measure_cycles=3_000,
-        drain_cycles=3_000,
-    )
-    topology = StarGraph(4)
-    seeds = list(range(16))
-
-    t0 = time.perf_counter()
-    serial = ArraySimulator(
-        topology, EnhancedNbc(), cfg, seeds=seeds, threads=1
-    ).run()
-    serial_s = time.perf_counter() - t0
-
-    def _threaded():
-        return ArraySimulator(
-            topology, EnhancedNbc(), cfg, seeds=seeds, threads=4
-        ).run()
-
-    threaded = once(_threaded)
-    # The worker pool must be invisible in the results.
-    assert [r.as_dict() for r in threaded] == [r.as_dict() for r in serial]
-
-    t0 = time.perf_counter()
-    _threaded()
-    threaded_s = time.perf_counter() - t0
-    speedup = serial_s / threaded_s if threaded_s > 0 else 0.0
-    benchmark.extra_info["cpus"] = cpus
-    benchmark.extra_info["threads"] = 4
-    benchmark.extra_info["replications"] = len(seeds)
-    benchmark.extra_info["serial_s"] = round(serial_s, 3)
-    benchmark.extra_info["threaded_s"] = round(threaded_s, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert speedup >= 3.0, (
-        f"4-thread kernel pool delivered only {speedup:.2f}x over serial "
-        f"({cpus} CPUs available)"
-    )

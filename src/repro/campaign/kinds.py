@@ -60,10 +60,8 @@ def resolve_jobs(jobs: int | None) -> int:
 
     ``None`` means 1 (serial); ``0`` means one lane per core; explicit
     positive counts are honoured as-is.  Invalid values raise
-    :class:`ConfigurationError`.  Unlike the kernel ``threads`` knob this
-    never consults ``STARNET_THREADS`` — the two levels would multiply
-    into ``jobs x threads`` workers if one variable drove both (see the
-    "Parallelism model" section of ``docs/simulation.md``).
+    :class:`ConfigurationError` (see the "Parallelism model" section of
+    ``docs/simulation.md``).
     """
     if jobs is None:
         return 1
@@ -159,16 +157,14 @@ def _expand_fused_unit(unit) -> list:
     return [spec.config.with_seed(spec.config.seed + i) for i in range(replications)]
 
 
-def _run_fused_group(units: list, threads: int | None = None) -> list[Any]:
+def _run_fused_group(units: list) -> list[Any]:
     """Run one structurally-compatible group as a single batched sim.
 
     Returns one result per unit, in unit order: ``sim`` units yield
     their single :class:`SimulationResult`, ``sim_batch`` units the
     pooled summary of their replication slice.  Per-replication purity
     of the array backend makes each result bit-identical to running the
-    unit on its own.  ``threads`` sizes the kernel worker pool
-    (bit-identical for every value); ``None`` defers to the usual
-    ``STARNET_THREADS`` / config precedence.
+    unit on its own.
     """
     from repro.simulation.backends import simulate_many, summarize_batch
 
@@ -186,9 +182,7 @@ def _run_fused_group(units: list, threads: int | None = None) -> list[Any]:
         slices.append((unit.kind, len(configs), len(cfgs)))
         configs.extend(cfgs)
     topology, algorithm, _ = spec.build()
-    results = simulate_many(
-        topology, algorithm, configs, engine="array", threads=threads
-    )
+    results = simulate_many(topology, algorithm, configs, engine="array")
     out: list[Any] = []
     for kind, off, n in slices:
         if kind == "sim":
@@ -214,11 +208,11 @@ def run_units_fused(
     ``jobs > 1`` runs the fused groups (and the non-fusible units)
     concurrently on a thread pool in this process — zero pickling, one
     shared path-statistics cache.  The compiled cycle kernel releases
-    the GIL for the whole C-resident run, so lanes genuinely overlap;
-    each lane's kernel then runs single-threaded so ``jobs`` alone
-    decides the core budget.  Results are bit-identical to ``jobs=1``
-    (each lane is an independent simulation; only completion order
-    varies, and results are reassembled in unit order).
+    the GIL for the whole C-resident run, so lanes genuinely overlap
+    and ``jobs`` alone decides the core budget.  Results are
+    bit-identical to ``jobs=1`` (each lane is an independent simulation;
+    only completion order varies, and results are reassembled in unit
+    order).
 
     ``events`` (an :class:`repro.obs.EventSink` or None) receives one
     ``fused_group`` event per structural group before execution starts —
@@ -252,10 +246,7 @@ def run_units_fused(
         )
 
     if jobs > 1:
-        # One task per fused group plus one per non-fusible unit.  The
-        # lanes claim the cores, so group sims run their kernel pool
-        # serial (threads=1) — jobs x kernel-threads oversubscription
-        # is the documented anti-pattern.
+        # One task per fused group plus one per non-fusible unit.
         lock = threading.Lock()
         done = 0
 
@@ -272,7 +263,7 @@ def run_units_fused(
             _advance(1)
 
         def _group(indices: list[int]) -> None:
-            fused = _run_fused_group([units[j] for j in indices], threads=1)
+            fused = _run_fused_group([units[j] for j in indices])
             for j, result in zip(indices, fused):
                 results[j] = result
             _advance(len(indices))

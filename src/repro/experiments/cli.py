@@ -293,15 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(vectorized batch kernels; the default with --profile/--watch)"
         },
     )
-    sim.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="kernel worker threads for the array engine (0 = one per "
-        "core; results are bit-identical for every value); overrides "
-        "STARNET_THREADS, ignored by the object engine",
-    )
     sim.add_argument("--hops", action="store_true", help="also print per-hop blocking")
     sim.add_argument(
         "--profile",
@@ -634,7 +625,6 @@ def _probe_lines(ident: dict, series: dict, adequacy: dict):
 def _run_sim_command(args) -> int:
     from repro.obs import default_probe_interval, warmup_adequacy
     from repro.simulation.backends import simulate_batch
-    from repro.simulation.config import resolve_threads
 
     v = _resolved(args, _SIM_DEFAULTS)
     observed = args.profile or args.watch is not None
@@ -650,9 +640,6 @@ def _run_sim_command(args) -> int:
                 "--profile/--watch observe the array kernel; drop --engine "
                 f"{v['engine']}"
             )
-        if args.jobs is not None:
-            # Eager validation; the object engine ignores the value.
-            resolve_threads(args.jobs, None)
         # One declarative description of the run — the Scenario facade
         # canonicalises the workload and builds the SimSpec.
         scenario = _build_scenario(v)
@@ -673,7 +660,6 @@ def _run_sim_command(args) -> int:
             algo,
             config,
             v["replications"],
-            threads=args.jobs,
             profile=args.profile,
             probe_interval=interval,
         )

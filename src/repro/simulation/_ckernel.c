@@ -31,19 +31,16 @@
  * is the same winner the table (and the numpy argmin fallback) yields,
  * so the C kernel has no V cap.
  *
- * THREADING.  Every phase-2/3/4 mutation touches only one
- * replication's rows, so the cycle is parallelised over the batch
- * dimension: a persistent pthread pool (starnet_pool_new) partitions
- * replications into contiguous ranges and each thread runs the fused
- * per-replication pipeline 2 -> 4a -> 3a -> 3b -> 4b over its range
- * with no inner barriers.  Cross-replication structures (the shared
- * ejection-column list, the fin/miss report lists, the scalar
- * counters) are written into per-replication staging regions and
- * merged by the calling thread in ascending replication order — the
- * exact order the serial loops produce — and phase 5 (completion
- * bookkeeping with order-sensitive float accumulation) stays serial.
- * threads == 1 runs the identical staged code path, so results are
- * bit-identical for every thread count by construction.
+ * STAGING.  Every phase-2/3/4 mutation touches only one
+ * replication's rows, so each replication runs the fused pipeline
+ * 2 -> 4a -> 3a -> 3b -> 4b in turn.  Cross-replication structures
+ * (the shared ejection-column list, the fin/miss report lists, the
+ * scalar counters) are written into per-replication staging regions
+ * and merged in ascending replication order afterwards, and phase 5
+ * (completion bookkeeping with order-sensitive float accumulation)
+ * runs last.  The kernel is single-threaded: batch-level parallelism
+ * comes from running whole simulators on separate campaign lanes,
+ * which call in here with the GIL released.
  *
  * All arguments arrive through one int64 parameter block (pointers cast
  * to int64) so the per-cycle ctypes call marshals a single argument.
@@ -116,67 +113,64 @@
  *  82 w_width     (double*, R)    batch width per rep
  *  83 w_batches   (int64*, R)     batch count per rep  84 Bmax
  *
- * Threading + resident-driver slots (85+):
+ * Staging + resident-driver slots (85+):
  *
  *  85 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
  *                                  fin_n, miss_n, err, newej_n,
  *                                  newej_base, spare}
- *  86 threads                     thread count (1: serial)
- *  87 pool                        Pool* from starnet_pool_new (0: none)
- *  88 gen_node_t  (double*, R*N)  next arrival instant per node
- *  89 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  90 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  91 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  92 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  93 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  94 dst_pos     (int32*, R*N)  95 dst_len (int32*, R*N)
- *  96 GB                          generation block size
- *  97 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  98 qhead  99 qtail  100 qlen  (int32*, R*N) per-node queues
- * 101 act         (uint8*, R*N)   nodes with pending activations
- * 102 dist_tab    (int32*, N*N)   distance table (-1: unresolved)
- * 103 cb                          refill callback
+ *  86 gen_node_t  (double*, R*N)  next arrival instant per node
+ *  87 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
+ *  88 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
+ *  89 arr_pos     (int32*, R*N)   cursor into arr_buf
+ *  90 arr_len     (int32*, R*N)   valid entries in arr_buf
+ *  91 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
+ *  92 dst_pos     (int32*, R*N)  93 dst_len (int32*, R*N)
+ *  94 GB                          generation block size
+ *  95 qnext       (int32*, R*cap) source-queue links (next slot or -1)
+ *  96 qhead  97 qtail  98 qlen   (int32*, R*N) per-node queues
+ *  99 act         (uint8*, R*N)   nodes with pending activations
+ * 100 dist_tab    (int32*, N*N)   distance table (-1: unresolved)
+ * 101 cb                          refill callback
  *                                  int64 cb(kind, a, b):
  *                                  0 arrival-block refill (rep, node)
  *                                  1 dest-block refill (rep, node)
  *                                  2 distance query (src, dst) -> d
  *                                  negative return: Python exception
- * 104 generated   (int64*, R)  105 meas_generated (int64*, R)
- * 106 warm        (int64*, R)  107 horizon (int64*, R)
- * 108 end         (int64*, R)     horizon + drain budget
- * 109 active      (uint8*, R)     1 until the rep's result is frozen
- * 110 slots                       injection slots per node
- * 111 grace                       watchdog grace (cycles)
- * 112 marks       (int64*, R)  113 lastp (int64*, R)  watchdog state
- * 114 sample_interval
- * 115 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 116 ej_cap_rows                 ejection-column capacity
- * 117 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
+ * 102 generated   (int64*, R)  103 meas_generated (int64*, R)
+ * 104 warm        (int64*, R)  105 horizon (int64*, R)
+ * 106 end         (int64*, R)     horizon + drain budget
+ * 107 active      (uint8*, R)     1 until the rep's result is frozen
+ * 108 slots                       injection slots per node
+ * 109 grace                       watchdog grace (cycles)
+ * 110 marks       (int64*, R)  111 lastp (int64*, R)  watchdog state
+ * 112 sample_interval
+ * 113 ugate       (int64*, 2)     {headroom, spend} uniform gate
+ * 114 ej_cap_rows                 ejection-column capacity
+ * 115 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
  *                                  need_total, reason, aux, 0, 0}
- * 118 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
+ * 116 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
  *                                  -, -} (total/cycles live Python-side;
  *                                  see ArraySimulator.phase_profile)
  *
- * Time-series probe slots (119+), the same NULL-pointer = zero-overhead
- * contract as slot 118 (see probe_sample / docs/observability.md):
+ * Time-series probe slots (117+), the same NULL-pointer = zero-overhead
+ * contract as slot 116 (see probe_sample / docs/observability.md):
  *
- * 119 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
+ * 117 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
  *                                  when probing is off; one sample is
  *                                  R rows of {in_flight, completed,
  *                                  backlog, occupancy histogram 0..V}
- * 120 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 121 pb_state    (int64*, 1)     {sample count} — shared with the
+ * 118 pb_cycles   (int64*, cap)   cycle stamp per sample
+ * 119 pb_state    (int64*, 1)     {sample count} — shared with the
  *                                  Python-driven cycles so both append
  *                                  to the same ring
- * 122 pb_interval                 cycles between samples
- * 123 pb_cap                      ring capacity (samples)
+ * 120 pb_interval                 cycles between samples
+ * 121 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
 #include <stdlib.h>
-#include <pthread.h>
 #include <time.h>
 
 /* Widest candidate list the on-stack free-VC scratch supports; the
@@ -244,10 +238,8 @@ typedef struct Ctx {
     const double *w_t0, *w_width;
     const int64_t *w_batches;
     int64_t Bmax;
-    /* threading + resident driver */
+    /* staging + resident driver */
     int64_t *tstage;
-    int64_t threads;
-    struct Pool *pool;
     double *gen_node_t, *gen_next;
     double *arr_buf;
     int32_t *arr_pos, *arr_len;
@@ -370,44 +362,42 @@ static void decode(Ctx *c, int64_t *P)
     c->w_batches = (const int64_t *)P[83];
     c->Bmax = P[84];
     c->tstage = (int64_t *)P[85];
-    c->threads = P[86];
-    c->pool = (struct Pool *)P[87];
-    c->gen_node_t = (double *)P[88];
-    c->gen_next = (double *)P[89];
-    c->arr_buf = (double *)P[90];
-    c->arr_pos = (int32_t *)P[91];
-    c->arr_len = (int32_t *)P[92];
-    c->dst_buf = (int32_t *)P[93];
-    c->dst_pos = (int32_t *)P[94];
-    c->dst_len = (int32_t *)P[95];
-    c->GB = P[96];
-    c->qnext = (int32_t *)P[97];
-    c->qhead = (int32_t *)P[98];
-    c->qtail = (int32_t *)P[99];
-    c->qlen = (int32_t *)P[100];
-    c->act = (uint8_t *)P[101];
-    c->dist_tab = (int32_t *)P[102];
-    c->cb = (starnet_cb)(intptr_t)P[103];
-    c->generated = (int64_t *)P[104];
-    c->meas_generated = (int64_t *)P[105];
-    c->warm = (const int64_t *)P[106];
-    c->horizon = (const int64_t *)P[107];
-    c->end = (const int64_t *)P[108];
-    c->active = (uint8_t *)P[109];
-    c->slots = P[110];
-    c->grace = P[111];
-    c->marks = (int64_t *)P[112];
-    c->lastp = (int64_t *)P[113];
-    c->sample_interval = P[114];
-    c->ugate = (int64_t *)P[115];
-    c->ej_cap_rows = P[116];
-    c->run_state = (int64_t *)P[117];
-    c->prof = (int64_t *)P[118];
-    c->pb_data = (int64_t *)P[119];
-    c->pb_cycles = (int64_t *)P[120];
-    c->pb_state = (int64_t *)P[121];
-    c->pb_interval = P[122];
-    c->pb_cap = P[123];
+    c->gen_node_t = (double *)P[86];
+    c->gen_next = (double *)P[87];
+    c->arr_buf = (double *)P[88];
+    c->arr_pos = (int32_t *)P[89];
+    c->arr_len = (int32_t *)P[90];
+    c->dst_buf = (int32_t *)P[91];
+    c->dst_pos = (int32_t *)P[92];
+    c->dst_len = (int32_t *)P[93];
+    c->GB = P[94];
+    c->qnext = (int32_t *)P[95];
+    c->qhead = (int32_t *)P[96];
+    c->qtail = (int32_t *)P[97];
+    c->qlen = (int32_t *)P[98];
+    c->act = (uint8_t *)P[99];
+    c->dist_tab = (int32_t *)P[100];
+    c->cb = (starnet_cb)(intptr_t)P[101];
+    c->generated = (int64_t *)P[102];
+    c->meas_generated = (int64_t *)P[103];
+    c->warm = (const int64_t *)P[104];
+    c->horizon = (const int64_t *)P[105];
+    c->end = (const int64_t *)P[106];
+    c->active = (uint8_t *)P[107];
+    c->slots = P[108];
+    c->grace = P[109];
+    c->marks = (int64_t *)P[110];
+    c->lastp = (int64_t *)P[111];
+    c->sample_interval = P[112];
+    c->ugate = (int64_t *)P[113];
+    c->ej_cap_rows = P[114];
+    c->run_state = (int64_t *)P[115];
+    c->prof = (int64_t *)P[116];
+    c->pb_data = (int64_t *)P[117];
+    c->pb_cycles = (int64_t *)P[118];
+    c->pb_state = (int64_t *)P[119];
+    c->pb_interval = P[120];
+    c->pb_cap = P[121];
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }
@@ -459,13 +449,11 @@ static int64_t probe_memo(const int64_t *keys, const int32_t *vals,
     }
 }
 
-/* Phases 2, 4a, 3a, 3b, 4b for replications [r0, r1).  Every read and
- * write below touches only rep r's rows plus r's private staging
- * regions, so disjoint ranges run concurrently; the per-rep phase
- * order matches the serial kernel's global phase order because no
- * phase reads another replication's state. */
-static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
-                       int64_t cycle, int64_t do_alloc, int64_t ej_n_old)
+/* Phases 2, 4a, 3a, 3b, 4b, replication by replication.  Every read
+ * and write below touches only rep r's rows plus r's private staging
+ * regions, so running the fused pipeline rep by rep matches the
+ * global phase order: no phase reads another replication's state. */
+static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
 {
     const int64_t C = c->C, V = c->V, cap = c->cap, N = c->N;
     const int64_t CV = c->CV;
@@ -476,7 +464,7 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
     int32_t *up = c->up, *down = c->down, *rr = c->rr;
     uint8_t *busy = c->busy;
 
-    for (int64_t r = r0; r < r1; ++r) {
+    for (int64_t r = 0; r < c->R; ++r) {
         int64_t *ts = c->tstage + r * 8;
         const int64_t newej_base = ts[6];
         int64_t grants_r = 0, busy_delta_r = 0, err_r = 0;
@@ -767,123 +755,6 @@ static void rep_phases(const Ctx *c, int64_t r0, int64_t r1,
 }
 
 /* ------------------------------------------------------------------ */
-/* Persistent worker pool: T-way partition of the replication range,   */
-/* the calling thread takes partition 0.                               */
-/* ------------------------------------------------------------------ */
-
-typedef struct Pool {
-    int64_t nthreads; /* partitions, including the calling thread */
-    pthread_t *tids;
-    struct WArg *args;
-    pthread_mutex_t mu;
-    pthread_cond_t go, done;
-    int64_t seq;      /* job sequence number */
-    int64_t finished; /* workers done with the current job */
-    int shutdown;
-    /* current job */
-    const Ctx *ctx;
-    int64_t cycle, do_alloc, ej_n_old;
-} Pool;
-
-typedef struct WArg {
-    Pool *pool;
-    int64_t idx; /* partition index, 1 .. nthreads-1 */
-} WArg;
-
-static void *pool_worker(void *varg)
-{
-    WArg *a = (WArg *)varg;
-    Pool *p = a->pool;
-    const int64_t k = a->idx;
-    int64_t seen = 0;
-    pthread_mutex_lock(&p->mu);
-    for (;;) {
-        while (p->seq == seen && !p->shutdown)
-            pthread_cond_wait(&p->go, &p->mu);
-        if (p->shutdown)
-            break;
-        seen = p->seq;
-        const Ctx *c = p->ctx;
-        const int64_t cycle = p->cycle;
-        const int64_t do_alloc = p->do_alloc;
-        const int64_t ej_n_old = p->ej_n_old;
-        const int64_t T = p->nthreads;
-        pthread_mutex_unlock(&p->mu);
-        rep_phases(c, c->R * k / T, c->R * (k + 1) / T,
-                   cycle, do_alloc, ej_n_old);
-        pthread_mutex_lock(&p->mu);
-        p->finished += 1;
-        pthread_cond_signal(&p->done);
-    }
-    pthread_mutex_unlock(&p->mu);
-    return 0;
-}
-
-int64_t starnet_pool_new(int64_t threads)
-{
-    if (threads < 2)
-        return 0;
-    Pool *p = (Pool *)calloc(1, sizeof(Pool));
-    if (!p)
-        return 0;
-    p->nthreads = threads;
-    p->tids = (pthread_t *)calloc((size_t)(threads - 1), sizeof(pthread_t));
-    p->args = (WArg *)calloc((size_t)(threads - 1), sizeof(WArg));
-    if (!p->tids || !p->args) {
-        free(p->tids);
-        free(p->args);
-        free(p);
-        return 0;
-    }
-    pthread_mutex_init(&p->mu, 0);
-    pthread_cond_init(&p->go, 0);
-    pthread_cond_init(&p->done, 0);
-    int64_t spawned = 0;
-    for (int64_t k = 1; k < threads; ++k) {
-        p->args[k - 1].pool = p;
-        p->args[k - 1].idx = k;
-        if (pthread_create(&p->tids[k - 1], 0, pool_worker, &p->args[k - 1]))
-            break;
-        ++spawned;
-    }
-    if (spawned != threads - 1) { /* partial spawn: tear down, go serial */
-        pthread_mutex_lock(&p->mu);
-        p->shutdown = 1;
-        pthread_cond_broadcast(&p->go);
-        pthread_mutex_unlock(&p->mu);
-        for (int64_t k = 0; k < spawned; ++k)
-            pthread_join(p->tids[k], 0);
-        pthread_mutex_destroy(&p->mu);
-        pthread_cond_destroy(&p->go);
-        pthread_cond_destroy(&p->done);
-        free(p->tids);
-        free(p->args);
-        free(p);
-        return 0;
-    }
-    return (int64_t)(intptr_t)p;
-}
-
-void starnet_pool_free(int64_t pool)
-{
-    Pool *p = (Pool *)(intptr_t)pool;
-    if (!p)
-        return;
-    pthread_mutex_lock(&p->mu);
-    p->shutdown = 1;
-    pthread_cond_broadcast(&p->go);
-    pthread_mutex_unlock(&p->mu);
-    for (int64_t k = 0; k < p->nthreads - 1; ++k)
-        pthread_join(p->tids[k], 0);
-    pthread_mutex_destroy(&p->mu);
-    pthread_cond_destroy(&p->go);
-    pthread_cond_destroy(&p->done);
-    free(p->tids);
-    free(p->args);
-    free(p);
-}
-
-/* ------------------------------------------------------------------ */
 /* One full cycle of phases 2-5 with deterministic merge.              */
 /* ------------------------------------------------------------------ */
 
@@ -899,7 +770,7 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
 
     /* Staging bases: new ejection columns land at ej_n_old plus the
      * prefix sum of pending-header counts (an upper bound on each
-     * rep's appends), compacted leftward after the join — the final
+     * rep's appends), compacted leftward after the per-rep pass — the final
      * layout is exactly the serial append order. */
     int64_t off = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
@@ -927,25 +798,7 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     for (int64_t i = 0; i < ej_n_old; ++i)
         c->completions[c->tstage[c->ej_reps[i] * 8 + 7]++] = i;
 
-    Pool *p = c->pool;
-    if (p && p->nthreads > 1 && R > 1) {
-        pthread_mutex_lock(&p->mu);
-        p->ctx = c;
-        p->cycle = cycle;
-        p->do_alloc = do_alloc;
-        p->ej_n_old = ej_n_old;
-        p->finished = 0;
-        p->seq += 1;
-        pthread_cond_broadcast(&p->go);
-        pthread_mutex_unlock(&p->mu);
-        rep_phases(c, 0, R / p->nthreads, cycle, do_alloc, ej_n_old);
-        pthread_mutex_lock(&p->mu);
-        while (p->finished < p->nthreads - 1)
-            pthread_cond_wait(&p->done, &p->mu);
-        pthread_mutex_unlock(&p->mu);
-    } else {
-        rep_phases(c, 0, R, cycle, do_alloc, ej_n_old);
-    }
+    rep_phases(c, cycle, do_alloc);
 
     /* Serial merge, ascending replication order == serial phase order. */
     int64_t grants = 0, busy_delta = 0, err = 0;
@@ -1094,9 +947,8 @@ int64_t starnet_cycle(int64_t *P)
  * node holds exactly one outstanding arrival, so (instant, node) pairs
  * are unique per replication and the event order is canonical: the
  * smallest instant, ties broken by the smallest node — exactly the
- * tuple order the heap-based engines produce.  Runs on the calling
- * thread only; refill callbacks re-enter Python (ctypes re-acquires
- * the GIL). */
+ * tuple order the heap-based engines produce.  Refill callbacks
+ * re-enter Python (ctypes re-acquires the GIL). */
 static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
 {
     const int64_t N = c->N, GB = c->GB, cap = c->cap;

@@ -70,7 +70,6 @@ def make_simulator(
     algorithm: RoutingAlgorithm,
     config: SimulationConfig,
     engine: str | None = None,
-    threads: int | None = None,
     profile: bool = False,
     probe_interval: int | None = None,
 ):
@@ -82,12 +81,10 @@ def make_simulator(
     the array backend's ``run()`` returns a one-element list) — use
     :func:`simulate` when you just want a :class:`SimulationResult`.
 
-    ``threads`` sizes the array backend's kernel worker pool (results
-    are bit-identical for every value); the object engine is inherently
-    single-threaded and ignores it.  ``profile`` turns on the array
-    backend's per-phase cycle timing and ``probe_interval`` its
-    cycle-resolution time-series probes (both observation-only —
-    results stay bit-identical; the object engine ignores them).
+    ``profile`` turns on the array backend's per-phase cycle timing and
+    ``probe_interval`` its cycle-resolution time-series probes (both
+    observation-only — results stay bit-identical; the object engine
+    ignores them).
     """
     name = _resolve(engine, config)
     if name == "object":
@@ -96,7 +93,6 @@ def make_simulator(
         topology,
         algorithm,
         config,
-        threads=threads,
         profile=profile,
         probe_interval=probe_interval,
     )
@@ -107,7 +103,6 @@ def simulate(
     algorithm: RoutingAlgorithm,
     config: SimulationConfig,
     engine: str | None = None,
-    threads: int | None = None,
     profile: bool = False,
     probe_interval: int | None = None,
 ) -> SimulationResult:
@@ -117,7 +112,6 @@ def simulate(
         algorithm,
         [config],
         engine=engine,
-        threads=threads,
         profile=profile,
         probe_interval=probe_interval,
     )[0]
@@ -130,7 +124,6 @@ def simulate_batch(
     replications: int = 1,
     seeds: Sequence[int] | None = None,
     engine: str | None = None,
-    threads: int | None = None,
     profile: bool = False,
     probe_interval: int | None = None,
 ) -> list[SimulationResult]:
@@ -158,7 +151,6 @@ def simulate_batch(
         algorithm,
         [config if s == config.seed else config.with_seed(s) for s in seeds],
         engine=engine,
-        threads=threads,
         profile=profile,
         probe_interval=probe_interval,
     )
@@ -169,7 +161,6 @@ def simulate_many(
     algorithm: RoutingAlgorithm,
     configs: Sequence[SimulationConfig],
     engine: str | None = None,
-    threads: int | None = None,
     profile: bool = False,
     probe_interval: int | None = None,
 ) -> list[SimulationResult]:
@@ -194,7 +185,6 @@ def simulate_many(
         topology,
         algorithm,
         configs=configs,
-        threads=threads,
         profile=profile,
         probe_interval=probe_interval,
     ).run()

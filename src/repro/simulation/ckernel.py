@@ -41,16 +41,12 @@ class KernelBundle(NamedTuple):
     """The compiled entry points of one ``_ckernel.c`` build.
 
     ``cycle`` runs one cycle of phases 2-5; ``run`` is the resident
-    driver that loops whole cycles in C; ``pool_new``/``pool_free``
-    manage the persistent worker-thread pool (``pool_new(n)`` returns an
-    opaque handle as int64, 0 when pool creation failed — callers fall
-    back to the serial path).
+    driver that loops whole cycles in C.  Both release the GIL while
+    they run, so simulators on separate campaign lanes overlap.
     """
 
     cycle: object
     run: object
-    pool_new: object
-    pool_free: object
 
 
 _cached: tuple | None = None
@@ -94,7 +90,6 @@ def _build(source: Path, out: Path) -> bool:
                     *extra,
                     "-shared",
                     "-fPIC",
-                    "-pthread",
                     "-o",
                     tmp,
                     str(source),
@@ -132,9 +127,9 @@ def _fail(reason: str):
 def load_bundle() -> KernelBundle | None:
     """The compiled kernel entry points, or None when unavailable.
 
-    All four symbols load (or fail) as one unit: a build that exports
-    ``starnet_cycle`` but not the pool entry points is treated as a
-    failed load, so callers never see a half-threaded kernel.
+    Both symbols load (or fail) as one unit: a build that exports
+    ``starnet_cycle`` but not ``starnet_run`` is treated as a failed
+    load, so callers never see a half-built kernel.
     """
     global _cached
     if _cached is not None:
@@ -156,13 +151,7 @@ def load_bundle() -> KernelBundle | None:
         run = lib.starnet_run
         run.argtypes = _SIGNATURE
         run.restype = ctypes.c_int64
-        pool_new = lib.starnet_pool_new
-        pool_new.argtypes = [ctypes.c_int64]
-        pool_new.restype = ctypes.c_int64
-        pool_free = lib.starnet_pool_free
-        pool_free.argtypes = [ctypes.c_int64]
-        pool_free.restype = None
-        bundle = KernelBundle(cycle, run, pool_new, pool_free)
+        bundle = KernelBundle(cycle, run)
         _cached = (bundle,)
         return bundle
     except (OSError, AttributeError) as exc:

@@ -3,65 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import os
 
 from repro.utils.exceptions import ConfigurationError
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["SimulationConfig", "resolve_threads"]
-
-
-def _parse_threads(value, source: str) -> int:
-    """Validate one thread-count setting (bool is not an int here)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(
-            f"{source} must be a non-negative integer (0 = one per core), "
-            f"got {value!r}"
-        )
-    if value < 0:
-        raise ConfigurationError(
-            f"{source} must be >= 0 (0 = one per core), got {value}"
-        )
-    return value
-
-
-def resolve_threads(explicit: int | None = None, config_value: int | None = None) -> int:
-    """Resolve the kernel worker-thread count.
-
-    Precedence: the ``explicit`` argument (``ArraySimulator(threads=...)``
-    or ``--jobs``), then the ``STARNET_THREADS`` environment variable,
-    then ``SimulationConfig.threads``, then 1 (serial).  ``0`` or
-    ``"auto"`` means one thread per core.  Results are bit-identical for
-    every value, so this is purely a resource knob and is deliberately
-    excluded from campaign content-hash keys.  Invalid settings raise
-    :class:`ConfigurationError` rather than silently serializing.
-    """
-    value: int | None = None
-    if explicit is not None:
-        value = _parse_threads(explicit, "threads")
-    else:
-        env = os.environ.get("STARNET_THREADS")
-        if env is not None and env.strip() != "":
-            text = env.strip().lower()
-            if text == "auto":
-                value = 0
-            else:
-                try:
-                    value = int(text)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"STARNET_THREADS must be an integer or 'auto', got {env!r}"
-                    ) from None
-                value = _parse_threads(value, "STARNET_THREADS")
-        elif config_value is not None:
-            value = _parse_threads(config_value, "SimulationConfig.threads")
-    if value is None:
-        return 1
-    if value == 0:
-        return max(1, os.cpu_count() or 1)
-    # Explicit positive counts are honoured as-is (determinism tests pin
-    # odd values like 7 regardless of the machine's core count).
-    return value
+__all__ = ["SimulationConfig"]
 
 
 @dataclass(frozen=True)
@@ -122,12 +68,6 @@ class SimulationConfig:
         engine, bit-reproducible per seed) or ``"array"`` (vectorized
         structure-of-arrays kernels, statistically equivalent and able
         to batch replications).  See ``docs/simulation.md``.
-    threads:
-        Worker threads for the array backend's compiled kernel; ``None``
-        defers to ``STARNET_THREADS`` (then 1) and ``0`` means one per
-        core.  Bit-identical for every value — a resource knob, not a
-        model parameter — so it never enters campaign content-hash keys
-        (see :func:`resolve_threads` for the precedence order).
     """
 
     message_length: int = 32
@@ -146,7 +86,6 @@ class SimulationConfig:
     sample_interval: int = 97
     watchdog_grace: int | None = None
     engine: str = "object"
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.message_length < 1:
@@ -171,8 +110,6 @@ class SimulationConfig:
             raise ConfigurationError("sample_interval must be >= 1")
         if self.watchdog_grace is not None and self.watchdog_grace < 1:
             raise ConfigurationError("watchdog_grace must be >= 1 or None")
-        if self.threads is not None:
-            _parse_threads(self.threads, "threads")
         if self.engine not in ("object", "array"):
             raise ConfigurationError(
                 f"engine must be 'object' or 'array', got {self.engine!r}"

@@ -56,20 +56,15 @@ stream.  Both backends remain statistically equivalent (see
 invisible: a replication's result depends only on its own config and
 seed, never on its batch companions.
 
-Two further accelerations sit on top, both bit-identical by
-construction (see docs/simulation.md, "Parallelism model"):
-
-* **Worker threads.**  ``threads > 1`` gives the C kernel a persistent
-  pthread pool that partitions replications across cores each cycle;
-  per-replication work is staged and merged in fixed replication order,
-  so every thread count produces the same bits.
-* **The C-resident cycle loop.**  When the whole cycle can run in C
-  (compiled kernel present, stock floor arithmetic, block-safe
-  workload), :meth:`ArraySimulator.run` hands the loop to
-  ``starnet_run``, which also advances generation/activation/watchdog
-  and returns to Python only on events Python must service (block
-  refills, pool growth, memo misses, sampling, stops).  Set
-  ``STARNET_NO_RESIDENT=1`` to force the per-cycle path.
+**The C-resident cycle loop** sits on top, bit-identical by
+construction: when the whole cycle can run in C (compiled kernel
+present, stock floor arithmetic, block-safe workload),
+:meth:`ArraySimulator.run` hands the loop to ``starnet_run``, which also
+advances generation/activation/watchdog and returns to Python only on
+events Python must service (block refills, pool growth, memo misses,
+sampling, stops).  The kernel is single-threaded and releases the GIL,
+so parallelism comes from running whole simulators on separate campaign
+lanes (see docs/simulation.md, "Parallelism model").
 """
 
 from __future__ import annotations
@@ -78,7 +73,6 @@ import ctypes
 import dataclasses
 import heapq
 import math
-import os
 import time
 import weakref
 
@@ -86,7 +80,7 @@ import numpy as np
 
 from repro.routing.base import MessageRouteState, RoutingAlgorithm, SelectionPolicy
 from repro.simulation.ckernel import load_bundle
-from repro.simulation.config import SimulationConfig, resolve_threads
+from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import (
     ChannelLoadSampler,
     HopBlockingStats,
@@ -140,6 +134,18 @@ _CB_TYPE = ctypes.CFUNCTYPE(
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
 )
 
+
+def _weak_dispatch(method):
+    """Wrap a bound callback so the ctypes thunk holds its owner weakly."""
+    ref = weakref.WeakMethod(method)
+
+    def dispatch(kind: int, a: int, b: int) -> int:
+        bound = ref()
+        return -1 if bound is None else bound(kind, a, b)
+
+    return dispatch
+
+
 #: Phase-profiling slot names of ``SimState.phase_ns`` (slots 0-3; slot
 #: 5 holds the total run() wall time).  Mirrored in _ckernel.c: the C
 #: paths and the Python per-cycle/numpy drivers write the same slots.
@@ -184,21 +190,15 @@ class ArraySimulator:
     ``configs`` (heterogeneous work units: per-replication rate, seed and
     cycle windows — structural parameters must match).
 
-    ``threads`` sizes the compiled kernel's worker pool (precedence:
-    this argument, then ``STARNET_THREADS``, then ``config.threads``,
-    then 1; 0 means one thread per core).  Results are bit-identical for
-    every thread count; without the compiled kernel the numpy path runs
-    single-threaded and the setting is ignored.
-
     ``profile=True`` turns on per-phase cycle timing: the kernel (and
     the Python drivers on the fallback paths) accumulate monotonic-clock
     nanoseconds per phase into ``state.phase_ns``, surfaced through
     :meth:`phase_profile` and attached to the first replication's
-    result.  Like ``threads`` it is a pure observation knob — results
-    are bit-identical either way and campaign content-hash keys ignore
-    it.  Off (the default) the kernel passes a NULL profiling pointer,
-    so the cost is one predictable branch per phase — the guarded
-    benchmarks run with it off.
+    result.  It is a pure observation knob — results are bit-identical
+    either way and campaign content-hash keys ignore it.  Off (the
+    default) the kernel passes a NULL profiling pointer, so the cost is
+    one predictable branch per phase — the guarded benchmarks run with
+    it off.
 
     ``probe_interval=k`` turns on cycle-resolution time-series probes:
     every k cycles both kernels write per-replication in-flight,
@@ -217,7 +217,6 @@ class ArraySimulator:
         config: SimulationConfig | None = None,
         seeds: tuple[int, ...] | None = None,
         configs: list[SimulationConfig] | None = None,
-        threads: int | None = None,
         profile: bool = False,
         probe_interval: int | None = None,
     ):
@@ -498,28 +497,17 @@ class ArraySimulator:
         self._c_rs = np.zeros(8, dtype=np.int64)
         #: Uniform-gate mirror of (_u_headroom, _u_spend) for the C loop.
         self._c_ugate = np.zeros(2, dtype=np.int64)
-        #: Per-replication staging block of the threaded kernel.
+        #: Per-replication staging block of the C kernel's merge.
         self._c_tstage = np.zeros(R * 8, dtype=np.int64)
         #: ctypes callback handed to starnet_run for block refills and
         #: distance queries; exceptions are stashed and re-raised after
-        #: the C call returns.
+        #: the C call returns.  It reaches the simulator through a weak
+        #: method, so the callback never keeps its owner alive.
         self._cb_exc: BaseException | None = None
-        self._c_cb = _CB_TYPE(self._cb_dispatch)
-        self._c_cb_ptr = ctypes.cast(self._c_cb, ctypes.c_void_p).value or 0
-        self._no_resident = bool(os.environ.get("STARNET_NO_RESIDENT"))
-
-        # Kernel worker-thread pool: spawned once per simulator, freed
-        # by the finalizer.  Pool creation failure (or a missing kernel)
-        # degrades silently to the serial path — same bits either way.
-        self._threads = resolve_threads(threads, base.threads)
-        self._pool_ptr = 0
-        if self._threads > 1 and self._ck_bundle is not None:
-            ptr = int(self._ck_bundle.pool_new(self._threads))
-            if ptr:
-                self._pool_ptr = ptr
-                self._pool_finalizer = weakref.finalize(
-                    self, self._ck_bundle.pool_free, ptr
-                )
+        self._c_cb = _CB_TYPE(_weak_dispatch(self._cb_dispatch))
+        self._c_cb_ptr = ctypes.c_void_p.from_buffer(self._c_cb).value or 0
+        #: Test seam: True forces the per-cycle driver (same bits).
+        self._no_resident = False
 
         self._last_progress = np.zeros(R, dtype=np.int64)
         self._progress_marks = np.full(R, -1, dtype=np.int64)
@@ -690,9 +678,9 @@ class ArraySimulator:
 
         Requires the compiled kernel with in-C allocation, no Python
         seams (``_choose_vc``/``_gen_hook``), a block-safe workload and
-        a distance table; ``STARNET_NO_RESIDENT`` (or clearing the
-        ``_no_resident`` attribute's inverse in tests) forces the
-        per-cycle driver, which produces identical bits.
+        a distance table; setting the ``_no_resident`` attribute (a
+        test seam) forces the per-cycle driver, which produces identical
+        bits.
         """
         return (
             self._ck is not None
@@ -1926,44 +1914,42 @@ class ArraySimulator:
                 self._w_batches.ctypes.data,  # 83
                 self._Bmax,  # 84
                 self._c_tstage.ctypes.data,  # 85
-                self._threads,  # 86
-                self._pool_ptr,  # 87
-                self._gen_node_t.ctypes.data,  # 88
-                self._gen_next.ctypes.data,  # 89
-                self._arr_buf.ctypes.data,  # 90
-                self._arr_pos.ctypes.data,  # 91
-                self._arr_len.ctypes.data,  # 92
-                self._dst_buf.ctypes.data,  # 93
-                self._dst_pos.ctypes.data,  # 94
-                self._dst_len.ctypes.data,  # 95
-                _GEN_BLOCK,  # 96
-                self._qnext.ctypes.data,  # 97
-                self._qhead.ctypes.data,  # 98
-                self._qtail.ctypes.data,  # 99
-                self._qlen.ctypes.data,  # 100
-                self._act.ctypes.data,  # 101
-                0 if self._dist_tab is None else self._dist_tab.ctypes.data,  # 102
-                self._c_cb_ptr,  # 103
-                self._generated.ctypes.data,  # 104
-                self._measured_generated.ctypes.data,  # 105
-                self._warm_np.ctypes.data,  # 106
-                self._horizon_np.ctypes.data,  # 107
-                self._end_np.ctypes.data,  # 108
-                self._active_np.ctypes.data,  # 109
-                self._slots,  # 110
-                grace,  # 111
-                self._progress_marks.ctypes.data,  # 112
-                self._last_progress.ctypes.data,  # 113
-                self.config.sample_interval,  # 114
-                self._c_ugate.ctypes.data,  # 115
-                self._ej_cap_rows,  # 116
-                self._c_rs.ctypes.data,  # 117
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 118
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 119
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 120
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 121
-                self._probe_int or 0,  # 122
-                st.probe_capacity,  # 123
+                self._gen_node_t.ctypes.data,  # 86
+                self._gen_next.ctypes.data,  # 87
+                self._arr_buf.ctypes.data,  # 88
+                self._arr_pos.ctypes.data,  # 89
+                self._arr_len.ctypes.data,  # 90
+                self._dst_buf.ctypes.data,  # 91
+                self._dst_pos.ctypes.data,  # 92
+                self._dst_len.ctypes.data,  # 93
+                _GEN_BLOCK,  # 94
+                self._qnext.ctypes.data,  # 95
+                self._qhead.ctypes.data,  # 96
+                self._qtail.ctypes.data,  # 97
+                self._qlen.ctypes.data,  # 98
+                self._act.ctypes.data,  # 99
+                0 if self._dist_tab is None else self._dist_tab.ctypes.data,  # 100
+                self._c_cb_ptr,  # 101
+                self._generated.ctypes.data,  # 102
+                self._measured_generated.ctypes.data,  # 103
+                self._warm_np.ctypes.data,  # 104
+                self._horizon_np.ctypes.data,  # 105
+                self._end_np.ctypes.data,  # 106
+                self._active_np.ctypes.data,  # 107
+                self._slots,  # 108
+                grace,  # 109
+                self._progress_marks.ctypes.data,  # 110
+                self._last_progress.ctypes.data,  # 111
+                self.config.sample_interval,  # 112
+                self._c_ugate.ctypes.data,  # 113
+                self._ej_cap_rows,  # 114
+                self._c_rs.ctypes.data,  # 115
+                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 116
+                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 117
+                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 118
+                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 119
+                self._probe_int or 0,  # 120
+                st.probe_capacity,  # 121
             ],
             dtype=np.int64,
         )

@@ -52,21 +52,13 @@ class SimSpec:
     # -- plain-dict round trip ------------------------------------------
 
     def to_params(self) -> dict[str, Any]:
-        """Flat dict of topology keys plus non-default config fields.
-
-        ``threads`` never appears: it sizes the kernel's worker pool
-        without changing a single bit of the result, and campaign
-        content-hash keys must not depend on the machine the spec was
-        written on.
-        """
+        """Flat dict of topology keys plus non-default config fields."""
         out: dict[str, Any] = {
             "topology": self.topology,
             "order": self.order,
             "algorithm": self.algorithm,
         }
         for f in fields(SimulationConfig):
-            if f.name == "threads":
-                continue
             value = getattr(self.config, f.name)
             if value != f.default:
                 out[f.name] = value

@@ -57,7 +57,7 @@ _STATE_FIELDS = (
 #: Simulator-side accumulator arrays hashed in full.  The generation
 #: state (pre-drawn blocks, cursors, per-node next arrivals, source-queue
 #: links, activation bitmap) is included so the digests also pin the
-#: resident C loop and every kernel thread count to the same bits.
+#: resident C loop and the per-cycle driver to the same bits.
 _SIM_FIELDS = (
     "_ej_pos",
     "_alloc_pos",

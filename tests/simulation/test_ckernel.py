@@ -70,3 +70,4 @@ class TestRealBuild:
         assert fn is not None
         # Second call hits the process cache (same object).
         assert ckernel.load_kernel() is fn
+        assert ckernel.load_bundle()._fields == ("cycle", "run")

@@ -99,11 +99,14 @@ class TestProbeSchema:
 class TestProbesAreObservational:
     """Probing on must be bit-identical to probing off, on every path."""
 
-    def _pair(self, star4, cfg):
-        plain = ArraySimulator(star4, EnhancedNbc(), cfg).run()[0]
-        probed = ArraySimulator(
-            star4, EnhancedNbc(), cfg, probe_interval=25
-        ).run()[0]
+    def _pair(self, star4, cfg, *, no_resident=False):
+        def run(**kw):
+            sim = ArraySimulator(star4, EnhancedNbc(), cfg, **kw)
+            sim._no_resident = no_resident
+            return sim.run()[0]
+
+        plain = run()
+        probed = run(probe_interval=25)
         _results_equal(plain, probed)
         return probed
 
@@ -113,11 +116,10 @@ class TestProbesAreObservational:
         probed = self._pair(star4, quick_sim_config)
         assert probed.timeseries is not None
 
-    def test_per_cycle_c_path(self, star4, quick_sim_config, monkeypatch):
+    def test_per_cycle_c_path(self, star4, quick_sim_config):
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        probed = self._pair(star4, quick_sim_config)
+        probed = self._pair(star4, quick_sim_config, no_resident=True)
         assert probed.timeseries is not None
 
     def test_numpy_fallback(self, star4, quick_sim_config):
@@ -143,8 +145,9 @@ class TestProbesAreObservational:
 class TestPathIdenticalSamples:
     """The C kernel and the numpy fallback write the same samples."""
 
-    def _series(self, star4, cfg, *, force_numpy=False):
+    def _series(self, star4, cfg, *, force_numpy=False, no_resident=False):
         sim = ArraySimulator(star4, EnhancedNbc(), cfg, probe_interval=25)
+        sim._no_resident = no_resident
         if force_numpy:
             sim._ck_bundle = None
             sim._ck = None
@@ -157,11 +160,10 @@ class TestPathIdenticalSamples:
             star4, quick_sim_config, force_numpy=True
         )
 
-    def test_per_cycle_c_matches_numpy(self, star4, quick_sim_config, monkeypatch):
+    def test_per_cycle_c_matches_numpy(self, star4, quick_sim_config):
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        assert self._series(star4, quick_sim_config) == self._series(
+        assert self._series(star4, quick_sim_config, no_resident=True) == self._series(
             star4, quick_sim_config, force_numpy=True
         )
 

@@ -85,8 +85,9 @@ class TestPhaseProfile:
 class TestAllDriverPaths:
     """The three execution paths each account their own phases."""
 
-    def _run(self, star4, quick_sim_config):
+    def _run(self, star4, quick_sim_config, *, no_resident=False):
         sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, profile=True)
+        sim._no_resident = no_resident
         return sim.run()[0]
 
     def test_resident_c_loop(self, star4, quick_sim_config):
@@ -96,11 +97,10 @@ class TestAllDriverPaths:
         assert prof["generation"] > 0 and prof["activation"] > 0
         assert prof["route"] > 0
 
-    def test_per_cycle_c_path(self, star4, quick_sim_config, monkeypatch):
+    def test_per_cycle_c_path(self, star4, quick_sim_config):
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
-        monkeypatch.setenv("STARNET_NO_RESIDENT", "1")
-        prof = self._run(star4, quick_sim_config).phase_ns
+        prof = self._run(star4, quick_sim_config, no_resident=True).phase_ns
         assert prof["generation"] > 0 and prof["activation"] > 0
         assert prof["route"] > 0
 
