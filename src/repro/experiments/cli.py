@@ -93,6 +93,10 @@ _WATCH_ROWS = 16
 
 _PHASES = ("generation", "activation", "route", "complete", "other")
 
+#: Driver event counts of ``ArraySimulator.phase_profile`` (resident-loop
+#: returns, cycles punted to Python, callbacks into Python).
+_EVENTS = ("returns", "punts", "callbacks")
+
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
@@ -571,7 +575,15 @@ def _profile_table(prof: dict) -> str:
         rows.append(
             [phase, ns, f"{100.0 * ns / total:.1f}%", round(ns / cycles, 1) if cycles else ""]
         )
-    return render_table(["phase", "ns", "share", "ns/cycle"], rows)
+    events = [
+        [name, int(prof.get(name, 0)), round(1000 * prof.get(name, 0) / cycles, 2) if cycles else ""]
+        for name in _EVENTS
+    ]
+    return (
+        render_table(["phase", "ns", "share", "ns/cycle"], rows)
+        + "\n\n"
+        + render_table(["driver event", "count", "per 1k cycles"], events)
+    )
 
 
 def _watch_report(series: dict, adequacy: dict) -> str:
@@ -698,6 +710,7 @@ def _run_sim_command(args) -> int:
                 "cycles": int(prof.get("cycles", 0)),
                 "total_ns": int(prof.get("total", 0) or 1),
                 "phases": {phase: int(prof.get(phase, 0)) for phase in _PHASES},
+                **{name: int(prof.get(name, 0)) for name in _EVENTS},
             }
             print(json.dumps(record, sort_keys=True))
         else:

@@ -1,9 +1,12 @@
 /* Cycle megakernel for the array backend: VC allocation, switch
  * traversal and ejection — the whole per-cycle hot path of
  * repro.simulation.kernels in one call — plus a cycle-resident driver
- * (starnet_run) that also runs generation, activation and the watchdog
- * in C and returns to Python only on events the Python side must
- * handle (block refills, pool growth, memo misses, sampling, stops).
+ * (starnet_run) that also runs generation, activation, channel-load
+ * sampling and the watchdog in C.  Events the Python side must service
+ * inside a cycle (block refills, distance queries, routing-memo misses,
+ * uniform-buffer shortages) are callbacks into Python; the loop itself
+ * returns only on stops, message-pool or ejection-row growth, the
+ * watchdog and errors.
  *
  * Semantically identical to the Python/numpy passes in kernels.py (the
  * fallback): allocation walks each replication's pending headers in a
@@ -19,11 +22,15 @@
  *
  * Routing candidates are memoized: msg_memo[slot] indexes a flattened
  * candidate table (cand_flat + memo_off/alen/elen) built lazily by the
- * Python side.  Headers re-entering the pending list via a transfer
- * "ready" event probe an open-addressing hash (int64 keys, -1 empty,
- * Fibonacci hashing, linear probe — mirrored exactly by the Python
- * inserts); misses are reported so Python can resolve them before the
- * next cycle's allocation.
+ * Python side.  Headers entering the pending list (activation, or a
+ * transfer "ready" event) probe an open-addressing hash (int64 keys, -1
+ * empty, Fibonacci hashing, linear probe — mirrored exactly by the
+ * Python inserts); a miss calls back into Python (kind 3), which
+ * resolves the memo on the spot, possibly regrowing the tables — the
+ * kernel re-reads slots 48-54 after every such call.  Misses resolve in
+ * the order the numpy passes resolve them (activation in (rep, node)
+ * order, ready events rep-major in ascending VC order), so memo ids are
+ * identical on every path.
  *
  * Round-robin arbitration uses the packed lookup table when `lut` is
  * non-null (V <= 15); otherwise a per-channel scan tracks the candidate
@@ -34,11 +41,11 @@
  * STAGING.  Every phase-2/3/4 mutation touches only one
  * replication's rows, so each replication runs the fused pipeline
  * 2 -> 4a -> 3a -> 3b -> 4b in turn.  Cross-replication structures
- * (the shared ejection-column list, the fin/miss report lists, the
- * scalar counters) are written into per-replication staging regions
- * and merged in ascending replication order afterwards, and phase 5
- * (completion bookkeeping with order-sensitive float accumulation)
- * runs last.  The kernel is single-threaded: batch-level parallelism
+ * (the shared ejection-column list, the finished-injection report
+ * list, the scalar counters) are written into per-replication staging
+ * regions and merged in ascending replication order afterwards, and
+ * phase 5 (completion bookkeeping with order-sensitive float
+ * accumulation) runs last.  The kernel is single-threaded: batch-level parallelism
  * comes from running whole simulators on separate campaign lanes,
  * which call in here with the GIL released.
  *
@@ -71,10 +78,12 @@
  *  27 winners     (int64*, scratch R*C, per-rep region C)
  *  28 fin_nodes   (int64*, out)   rep*N + node of finished injections
  *  29 completions (int64*, out)   ej-column index of completed messages
- *  30 ready_miss  (int64*, out)   rep*cap + slot with unresolved memo
+ *  30 load_acc    (int64*, R*4)   channel-load sample accumulators
+ *                                  {samples, sum_v, sum_v2, busy}, per rep
  *  31 out_counts  (int64*, 8)     {grants, busy_delta, fin, completions,
- *                                  ready_miss, error, ej_n_new,
- *                                  need_total}
+ *                                  error, ej_n_new, need_total, spare};
+ *                                  error bit 1 = invariant failure, bit 2
+ *                                  = a callback raised
  *  32 busy        (uint8*, R*C)   owned-VC count per channel
  *  33 do_alloc                    run the allocation phase here?
  *  34 cycle
@@ -116,8 +125,8 @@
  * Staging + resident-driver slots (85+):
  *
  *  85 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
- *                                  fin_n, miss_n, err, newej_n,
- *                                  newej_base, spare}
+ *                                  fin_n, spare, err, newej_n,
+ *                                  newej_base, bucket_end}
  *  86 gen_node_t  (double*, R*N)  next arrival instant per node
  *  87 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
  *  88 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
@@ -130,11 +139,16 @@
  *  96 qhead  97 qtail  98 qlen   (int32*, R*N) per-node queues
  *  99 act         (uint8*, R*N)   nodes with pending activations
  * 100 dist_tab    (int32*, N*N)   distance table (-1: unresolved)
- * 101 cb                          refill callback
+ * 101 cb                          service callback into Python
  *                                  int64 cb(kind, a, b):
  *                                  0 arrival-block refill (rep, node)
  *                                  1 dest-block refill (rep, node)
  *                                  2 distance query (src, dst) -> d
+ *                                  3 memo miss (rep, slot) -> memo id;
+ *                                    re-read slots 48-54 afterwards
+ *                                  4 uniform shortage (need_total, -):
+ *                                    refill + re-base ugate; re-read
+ *                                    slots 55-56 afterwards
  *                                  negative return: Python exception
  * 102 generated   (int64*, R)  103 meas_generated (int64*, R)
  * 104 warm        (int64*, R)  105 horizon (int64*, R)
@@ -143,11 +157,12 @@
  * 108 slots                       injection slots per node
  * 109 grace                       watchdog grace (cycles)
  * 110 marks       (int64*, R)  111 lastp (int64*, R)  watchdog state
- * 112 sample_interval
+ * 112 sample_interval             cycles between channel-load samples
  * 113 ugate       (int64*, 2)     {headroom, spend} uniform gate
  * 114 ej_cap_rows                 ejection-column capacity
  * 115 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
  *                                  need_total, reason, aux, 0, 0}
+ *                                  (starnet_run only)
  * 116 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
@@ -177,20 +192,26 @@
  * Python side keeps do_alloc = 0 when deg * V exceeds it. */
 #define ALLOC_SCRATCH 512
 
-/* starnet_run return reasons (bitmask; mirrored in kernels.py). */
+/* starnet_run return reasons (one per return; mirrored in kernels.py).
+ * Every one leaves the current cycle unfinished (not advanced). */
 #define RUN_STOP 1     /* a replication reached its stop condition      */
-#define RUN_PUNT 2     /* Python must run this cycle via step()         */
-#define RUN_MISS 4     /* memo-hash misses to resolve (cycle finished)  */
-#define RUN_SAMPLE 8   /* channel-load sample due (cycle finished)      */
-#define RUN_WATCHDOG 16 /* stalled: Python raises SimulationError       */
-#define RUN_CBERR 32   /* refill callback raised                        */
-#define RUN_ERR 64     /* kernel invariant failure                      */
+#define RUN_PUNT 2     /* pool/ejection growth: Python runs the cycle   */
+#define RUN_WATCHDOG 4 /* stalled: Python raises SimulationError        */
+#define RUN_CBERR 8    /* a service callback raised                     */
+#define RUN_ERR 16     /* kernel invariant failure                      */
+
+/* run_phases error bits (out_counts[4]). */
+#define ERR_INVARIANT 1
+#define ERR_CALLBACK 2
 
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
-/* Decoded parameter block; pointers stay valid for the whole call
- * (growth events punt back to Python before anything reallocates). */
+/* Decoded parameter block.  Pool and ejection-row growth punt back to
+ * Python before anything reallocates; the memo tables and the uniform
+ * buffer may be regrown inside a callback, which patches the block in
+ * place, so those pointers are re-read after every kind-3/4 call. */
 typedef struct Ctx {
+    const int64_t *P;
     int32_t *bd, *avail, *owner, *up, *down, *rr;
     const int8_t *lut;
     int64_t R, C, V;
@@ -202,7 +223,7 @@ typedef struct Ctx {
     int64_t cap, N;
     int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
     int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions, *ready_miss, *out_counts;
+    int64_t *winners, *fin_nodes, *completions, *load_acc, *out_counts;
     uint8_t *busy;
     int64_t policy;
     int32_t num_adaptive;
@@ -262,6 +283,7 @@ typedef struct Ctx {
     int64_t *pb_data, *pb_cycles, *pb_state;
     int64_t pb_interval, pb_cap;
     int64_t ms, CV;
+    int cberr; /* a callback raised: make no further calls this entry */
 } Ctx;
 
 /* Monotonic nanoseconds for phase profiling.  The NULL check keeps the
@@ -277,8 +299,30 @@ static inline int64_t prof_now(const int64_t *prof)
     return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
+/* Memo tables (slots 48-54): regrown by the kind-3 callback. */
+static void load_memo(Ctx *c)
+{
+    const int64_t *P = c->P;
+    c->cand_flat = (const int32_t *)P[48];
+    c->memo_off = (const int64_t *)P[49];
+    c->memo_alen = (const int32_t *)P[50];
+    c->memo_elen = (const int32_t *)P[51];
+    c->hash_keys = (const int64_t *)P[52];
+    c->hash_vals = (const int32_t *)P[53];
+    c->hash_log2 = P[54];
+}
+
+/* Uniform buffer (slots 55-56): widened by the kind-4 callback. */
+static void load_uniforms(Ctx *c)
+{
+    c->alloc_buf = (const double *)c->P[55];
+    c->buf_cap = c->P[56];
+}
+
 static void decode(Ctx *c, int64_t *P)
 {
+    c->P = P;
+    c->cberr = 0;
     c->bd = (int32_t *)P[0];
     c->avail = (int32_t *)P[1];
     c->owner = (int32_t *)P[2];
@@ -308,7 +352,7 @@ static void decode(Ctx *c, int64_t *P)
     c->winners = (int64_t *)P[27];
     c->fin_nodes = (int64_t *)P[28];
     c->completions = (int64_t *)P[29];
-    c->ready_miss = (int64_t *)P[30];
+    c->load_acc = (int64_t *)P[30];
     c->out_counts = (int64_t *)P[31];
     c->busy = (uint8_t *)P[32];
     c->policy = P[35];
@@ -324,15 +368,8 @@ static void decode(Ctx *c, int64_t *P)
     c->p_first = (int32_t *)P[45];
     c->p_head_vc = (int32_t *)P[46];
     c->msg_memo = (int32_t *)P[47];
-    c->cand_flat = (const int32_t *)P[48];
-    c->memo_off = (const int64_t *)P[49];
-    c->memo_alen = (const int32_t *)P[50];
-    c->memo_elen = (const int32_t *)P[51];
-    c->hash_keys = (const int64_t *)P[52];
-    c->hash_vals = (const int32_t *)P[53];
-    c->hash_log2 = P[54];
-    c->alloc_buf = (const double *)P[55];
-    c->buf_cap = P[56];
+    load_memo(c);
+    load_uniforms(c);
     c->alloc_pos = (int64_t *)P[57];
     c->neighbors = (const int32_t *)P[58];
     c->color = (const uint8_t *)P[59];
@@ -449,11 +486,57 @@ static int64_t probe_memo(const int64_t *keys, const int32_t *vals,
     }
 }
 
+/* Routing-memo id of a header's current state: the hash probe, and on
+ * a miss the kind-3 callback, after which the (possibly regrown) memo
+ * tables are re-read.  Returns -1 once a callback has raised. */
+static int64_t memo_id(Ctx *c, int64_t r, int64_t mf, int64_t kk)
+{
+    const int64_t mid =
+        probe_memo(c->hash_keys, c->hash_vals, c->hash_log2, kk);
+    if (mid >= 0)
+        return mid;
+    if (c->cberr)
+        return -1;
+    const int64_t got = c->cb(3, r, mf - r * c->cap);
+    if (got < 0) {
+        c->cberr = 1;
+        return -1;
+    }
+    load_memo(c);
+    return got;
+}
+
+/* Channel-load sample of every live post-warmup replication: the
+ * moments of its per-channel busy-VC counts (idle channels add zero),
+ * accumulated as integers so every driver produces the same sums. */
+static void load_sample(const Ctx *c, int64_t cycle)
+{
+    for (int64_t r = 0; r < c->R; ++r) {
+        if (!c->active[r] || cycle < c->warm[r])
+            continue;
+        int64_t sv = 0, sv2 = 0, nb = 0;
+        const uint8_t *b = c->busy + r * c->C;
+        for (int64_t ch = 0; ch < c->C; ++ch) {
+            const int64_t v = b[ch];
+            if (v) {
+                sv += v;
+                sv2 += v * v;
+                ++nb;
+            }
+        }
+        int64_t *a = c->load_acc + r * 4;
+        a[0] += 1;
+        a[1] += sv;
+        a[2] += sv2;
+        a[3] += nb;
+    }
+}
+
 /* Phases 2, 4a, 3a, 3b, 4b, replication by replication.  Every read
  * and write below touches only rep r's rows plus r's private staging
  * regions, so running the fused pipeline rep by rep matches the
  * global phase order: no phase reads another replication's state. */
-static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
+static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
 {
     const int64_t C = c->C, V = c->V, cap = c->cap, N = c->N;
     const int64_t CV = c->CV;
@@ -468,7 +551,7 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
         int64_t *ts = c->tstage + r * 8;
         const int64_t newej_base = ts[6];
         int64_t grants_r = 0, busy_delta_r = 0, err_r = 0;
-        int64_t fn_r = 0, miss_r = 0, newej_r = 0;
+        int64_t fn_r = 0, newej_r = 0;
         const int64_t rowoff = r * CV;
 
         /* Phase 2 — VC allocation (shuffled order, per replication). */
@@ -493,7 +576,7 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
                     c->p_first[mf] = (int32_t)cycle;
                 const int32_t memo = c->msg_memo[mf];
                 if (memo < 0) { /* broken invariant: surface, don't hang */
-                    err_r = 1;
+                    err_r = ERR_INVARIANT;
                     ns[keep++] = s;
                     continue;
                 }
@@ -604,7 +687,7 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
                 const int32_t d = c->p_dist[mf] - 1;
                 c->p_dist[mf] = d;
                 if ((d == 0) != (nxt == c->p_dst[mf]))
-                    err_r = 1; /* non-minimal route */
+                    err_r = ERR_INVARIANT; /* non-minimal route */
                 if (d == 0) { /* header home: stage the ejection column */
                     const int64_t ei = newej_base + newej_r;
                     c->ej_reps[ei] = r;
@@ -691,14 +774,10 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
                     const int64_t kk =
                         (((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16)
                         | ((int64_t)c->p_floor[mf] << 8) | c->p_hops[mf];
-                    const int64_t mid =
-                        probe_memo(c->hash_keys, c->hash_vals, c->hash_log2, kk);
-                    c->msg_memo[mf] = (int32_t)mid;
+                    c->msg_memo[mf] = (int32_t)memo_id(c, r, mf, kk);
                     c->need_slots[r * cap + c->need_n[r]] =
                         (int32_t)(mf - r * cap);
                     c->need_n[r] += 1;
-                    if (mid < 0) /* Python resolves before next allocation */
-                        c->ready_miss[r * C + miss_r++] = mf;
                 }
             }
             avail[x] -= 1;
@@ -748,7 +827,6 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
         ts[0] = grants_r;
         ts[1] = busy_delta_r;
         ts[2] = fn_r;
-        ts[3] = miss_r;
         ts[4] = err_r;
         ts[5] = newej_r;
     }
@@ -759,10 +837,10 @@ static void rep_phases(const Ctx *c, int64_t cycle, int64_t do_alloc)
 /* ------------------------------------------------------------------ */
 
 typedef struct CycleOut {
-    int64_t grants, busy_delta, fn, cn, rm, err, ej_n, need_total;
+    int64_t grants, busy_delta, fn, cn, err, ej_n, need_total;
 } CycleOut;
 
-static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
+static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
                        int64_t ej_n_old, CycleOut *o)
 {
     const int64_t R = c->R, C = c->C, cap = c->cap;
@@ -775,7 +853,7 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     int64_t off = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
         int64_t *ts = c->tstage + r * 8;
-        ts[0] = ts[1] = ts[2] = ts[3] = ts[4] = ts[5] = 0;
+        ts[0] = ts[1] = ts[2] = ts[4] = ts[5] = 0;
         ts[6] = off;
         ts[7] = 0;
         if (do_alloc)
@@ -807,8 +885,7 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         const int64_t *ts = c->tstage + r * 8;
         grants += ts[0];
         busy_delta += ts[1];
-        if (ts[4])
-            err = 1;
+        err |= ts[4];
         const int64_t base = ts[6];
         for (int64_t j = 0; j < ts[5]; ++j) {
             const int64_t src = base + j;
@@ -823,13 +900,12 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         }
     }
     /* Replication 0's entries are already in place at offset 0. */
-    int64_t fn = c->tstage[2], rm = c->tstage[3];
+    int64_t fn = c->tstage[2];
     for (int64_t r = 1; r < R; ++r)
         for (int64_t j = 0; j < c->tstage[r * 8 + 2]; ++j)
             c->fin_nodes[fn++] = c->fin_nodes[r * C + j];
-    for (int64_t r = 1; r < R; ++r)
-        for (int64_t j = 0; j < c->tstage[r * 8 + 3]; ++j)
-            c->ready_miss[rm++] = c->ready_miss[r * C + j];
+    if (c->cberr)
+        err |= ERR_CALLBACK;
     /* route (phases 2-4) ends here; the completion tail is phase 5 */
     const int64_t pt1 = prof_now(c->prof);
     if (c->prof)
@@ -854,7 +930,7 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
         const int64_t mf = c->completions[j];
         const int64_t r = mf / cap;
         if (c->vcs_held[mf] != 0)
-            err = 1; /* completed message still owns channels */
+            err |= ERR_INVARIANT; /* completed message still owns channels */
         c->in_flight[r] -= 1;
         c->completed[r] += 1;
         if (c->measured[mf]) {
@@ -906,23 +982,9 @@ static void run_phases(const Ctx *c, int64_t cycle, int64_t do_alloc,
     o->busy_delta = busy_delta;
     o->fn = fn;
     o->cn = cn;
-    o->rm = rm;
     o->err = err;
     o->ej_n = ej_n;
     o->need_total = need_total;
-}
-
-static void write_out(const Ctx *c, const CycleOut *o)
-{
-    int64_t *out = c->out_counts;
-    out[0] = o->grants;
-    out[1] = o->busy_delta;
-    out[2] = o->fn;
-    out[3] = o->cn;
-    out[4] = o->rm;
-    out[5] = o->err;
-    out[6] = o->ej_n;
-    out[7] = o->need_total;
 }
 
 int64_t starnet_cycle(int64_t *P)
@@ -931,7 +993,14 @@ int64_t starnet_cycle(int64_t *P)
     decode(&c, P);
     CycleOut o;
     run_phases(&c, P[34], P[33], P[25], &o);
-    write_out(&c, &o);
+    int64_t *out = c.out_counts;
+    out[0] = o.grants;
+    out[1] = o.busy_delta;
+    out[2] = o.fn;
+    out[3] = o.cn;
+    out[4] = o.err;
+    out[5] = o.ej_n;
+    out[6] = o.need_total;
     return o.grants;
 }
 
@@ -1040,14 +1109,11 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
     return GEN_OK;
 }
 
-#define ACT_OK 0
-#define ACT_PUNT 1
-
 /* Activation, the C twin of ArraySimulator._activate: ascending
- * (rep, node) order == sorted(set) order.  A memo-hash miss punts
- * back to Python *before* the message is committed, so Python's
- * _activate resumes mid-node without replays. */
-static int act_cycle(const Ctx *c, int64_t *need_total)
+ * (rep, node) order == sorted(set) order, so memo misses resolve (kind
+ * 3) in the order _activate creates them.  Returns -1 once a callback
+ * has raised, before the message is committed. */
+static int act_cycle(Ctx *c, int64_t *need_total)
 {
     const int64_t N = c->N, cap = c->cap;
     for (int64_t r = 0; r < c->R; ++r) {
@@ -1059,16 +1125,13 @@ static int act_cycle(const Ctx *c, int64_t *need_total)
             while (c->qlen[rn] && c->active_inj[rn] < c->slots) {
                 const int32_t s = c->qhead[rn];
                 const int64_t mf = r * cap + s;
-                if (c->msg_memo[mf] < 0) {
-                    /* fresh message: floor == hops == 0 */
-                    const int64_t kk =
-                        (((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16);
-                    const int64_t mid = probe_memo(
-                        c->hash_keys, c->hash_vals, c->hash_log2, kk);
-                    if (mid < 0)
-                        return ACT_PUNT; /* Python resolves via the dict */
-                    c->msg_memo[mf] = (int32_t)mid;
-                }
+                /* a message entering injection has never routed:
+                 * floor == hops == 0 */
+                const int64_t mid = memo_id(
+                    c, r, mf, ((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16);
+                if (mid < 0)
+                    return -1;
+                c->msg_memo[mf] = (int32_t)mid;
                 const int32_t nxt = c->qnext[r * cap + s];
                 c->qhead[rn] = nxt;
                 if (nxt < 0)
@@ -1085,7 +1148,7 @@ static int act_cycle(const Ctx *c, int64_t *need_total)
             c->act[rn] = 0;
         }
     }
-    return ACT_OK;
+    return 0;
 }
 
 int64_t starnet_run(int64_t *P)
@@ -1136,8 +1199,8 @@ int64_t starnet_run(int64_t *P)
             const int a = act_cycle(&c, &need_total);
             if (c.prof)
                 c.prof[1] += prof_now(c.prof) - tp;
-            if (a == ACT_PUNT) {
-                reason = RUN_PUNT;
+            if (a < 0) {
+                reason = RUN_CBERR;
                 goto out;
             }
             act_any = 0;
@@ -1151,7 +1214,7 @@ int64_t starnet_run(int64_t *P)
                  * while the amortized bound holds, consume it; a failed
                  * bound with no actual shortage re-bases the gate
                  * exactly as the Python path does; a real shortage
-                 * punts so Python refills the buffer in step(). */
+                 * calls back (kind 4) so Python refills the buffer. */
                 const int64_t bound = 2 * need_total;
                 if (c.ugate[1] + bound <= c.ugate[0]) {
                     c.ugate[1] += bound;
@@ -1165,11 +1228,15 @@ int64_t starnet_run(int64_t *P)
                             posmax = c.alloc_pos[r];
                     }
                     if (short_any) {
-                        reason = RUN_PUNT;
-                        goto out;
+                        if (c.cb(4, need_total, 0) < 0) {
+                            reason = RUN_CBERR;
+                            goto out;
+                        }
+                        load_uniforms(&c);
+                    } else {
+                        c.ugate[0] = c.buf_cap - posmax;
+                        c.ugate[1] = bound;
                     }
-                    c.ugate[0] = c.buf_cap - posmax;
-                    c.ugate[1] = bound;
                 }
                 /* every pending header could append an ejection row */
                 if (ej_n + need_total > c.ej_cap_rows) {
@@ -1179,9 +1246,8 @@ int64_t starnet_run(int64_t *P)
             }
             CycleOut o;
             run_phases(&c, cycle, do_alloc, ej_n, &o);
-            write_out(&c, &o);
             if (o.err) {
-                reason = RUN_ERR;
+                reason = (o.err & ERR_CALLBACK) ? RUN_CBERR : RUN_ERR;
                 goto out;
             }
             busy_vcs += o.busy_delta;
@@ -1191,8 +1257,6 @@ int64_t starnet_run(int64_t *P)
                 c.act[c.fin_nodes[j]] = 1;
                 act_any = 1;
             }
-            if (o.rm)
-                reason |= RUN_MISS;
         }
 
         /* watchdog — every 32 cycles, ascending reps, first stall wins */
@@ -1205,33 +1269,23 @@ int64_t starnet_run(int64_t *P)
                     c.lastp[r] = cycle;
                 } else if (c.in_flight[r] > 0
                            && cycle - c.lastp[r] > c.grace) {
-                    reason |= RUN_WATCHDOG;
+                    reason = RUN_WATCHDOG;
                     aux = r;
-                    break;
+                    goto out; /* Python raises at this cycle */
                 }
             }
-            if (reason & RUN_WATCHDOG)
-                goto out; /* cycle NOT advanced: Python raises at it */
         }
 
-        /* time-series probe due?  Samples every probed cycle of the
-         * run, warmup included (the warmup-adequacy detector needs the
-         * transient), unlike the warm-gated channel-load sample. */
+        /* channel-load sample (warm-gated, per rep), then the time-
+         * series probe, which samples every probed cycle of the run,
+         * warmup included (the warmup-adequacy detector needs the
+         * transient). */
+        if (cycle % c.sample_interval == 0)
+            load_sample(&c, cycle);
         if (c.pb_data && cycle % c.pb_interval == 0)
             probe_sample(&c, cycle);
 
-        /* channel-load sample due for any live post-warmup rep? */
-        if (cycle % c.sample_interval == 0) {
-            for (int64_t r = 0; r < R; ++r)
-                if (c.active[r] && cycle >= c.warm[r]) {
-                    reason |= RUN_SAMPLE;
-                    break;
-                }
-        }
-
         cycle += 1;
-        if (reason)
-            break; /* MISS/SAMPLE: cycle finished, Python runs the tail */
     }
 
 out:

@@ -36,8 +36,11 @@ fallback.  Design choices shared by both paths:
   destination, escape floor, hops) are resolved once in Python and
   flattened into shared arrays; headers carry a memo id
   (``state.msg_memo``) and the C kernel re-derives ids for headers
-  re-entering the pending list through an open-addressing hash mirrored
-  exactly by the Python inserts.
+  entering the pending list through an open-addressing hash mirrored
+  exactly by the Python inserts.  A hash miss calls back into Python,
+  which resolves the state on the spot; ids are assigned in the same
+  order on every path (activation in (rep, node) order, ready events
+  rep-major in ascending VC order).
 * **Arbitration without a V cap.**  Round-robin winners come from a
   packed lookup table up to V = 15 and from an equivalent
   smallest-cyclic-offset scan (C) / argmin (numpy) beyond.
@@ -60,11 +63,16 @@ seed, never on its batch companions.
 construction: when the whole cycle can run in C (compiled kernel
 present, stock floor arithmetic, block-safe workload),
 :meth:`ArraySimulator.run` hands the loop to ``starnet_run``, which also
-advances generation/activation/watchdog and returns to Python only on
-events Python must service (block refills, pool growth, memo misses,
-sampling, stops).  The kernel is single-threaded and releases the GIL,
-so parallelism comes from running whole simulators on separate campaign
-lanes (see docs/simulation.md, "Parallelism model").
+advances generation, activation, channel-load sampling and the
+watchdog.  Work Python must do inside a cycle — block refills, distance
+queries, memo misses, uniform-buffer refills — is a callback
+(:meth:`ArraySimulator._cb_dispatch`); the loop returns only on stops,
+message-pool or ejection-row growth, the watchdog and errors, and a
+return costs O(1) Python work (the generation/activation mirrors are
+rebuilt only when Python next runs a cycle itself).  The kernel is
+single-threaded and releases the GIL, so parallelism comes from running
+whole simulators on separate campaign lanes (see docs/simulation.md,
+"Parallelism model").
 """
 
 from __future__ import annotations
@@ -81,11 +89,7 @@ import numpy as np
 from repro.routing.base import MessageRouteState, RoutingAlgorithm, SelectionPolicy
 from repro.simulation.ckernel import load_bundle
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import (
-    ChannelLoadSampler,
-    HopBlockingStats,
-    SimulationResult,
-)
+from repro.simulation.metrics import HopBlockingStats, SimulationResult
 from repro.simulation.state import MAX_BUFFER_DEPTH, SimState
 from repro.topology.base import Topology
 from repro.utils.exceptions import ConfigurationError, SimulationError
@@ -103,6 +107,12 @@ _EJ_N_SLOT = 25
 _DO_ALLOC_SLOT = 33
 _CYCLE_SLOT = 34
 
+#: Slots a service callback may patch in the live parameter block when
+#: it regrows an array (the kernel re-reads them after the call): the
+#: memo tables (48-54, kind 3) and the uniform buffer (55-56, kind 4).
+_MEMO_SLOT = 48
+_UNIFORM_SLOT = 55
+
 #: On-stack free-VC scratch width of the C allocation loop; wider
 #: candidate sets (deg * V) keep allocation in Python.
 _ALLOC_SCRATCH = 512
@@ -118,18 +128,20 @@ _MASK64 = (1 << 64) - 1
 #: is worth allocating; larger networks keep the per-cycle driver.
 _DIST_TABLE_MAX = 2048
 
-#: starnet_run return-reason bits (mirrored in _ckernel.c).
+#: starnet_run return reasons, one per return (mirrored in _ckernel.c).
 _RUN_STOP = 1
 _RUN_PUNT = 2
-_RUN_MISS = 4
-_RUN_SAMPLE = 8
-_RUN_WATCHDOG = 16
-_RUN_CBERR = 32
-_RUN_ERR = 64
+_RUN_WATCHDOG = 4
+_RUN_CBERR = 8
+_RUN_ERR = 16
 
-#: Refill/query callback signature of the resident loop:
-#: ``cb(kind, a, b)`` with kind 0 = arrival-block refill (rep, node),
-#: 1 = destination-block refill (rep, node), 2 = distance (src, dst).
+#: Error bits of the per-cycle kernel's ``out_counts[4]``.
+_ERR_CALLBACK = 2
+
+#: Service callback signature of the C kernel: ``cb(kind, a, b)`` with
+#: kind 0 = arrival-block refill (rep, node), 1 = destination-block
+#: refill (rep, node), 2 = distance (src, dst), 3 = memo miss (rep,
+#: slot) -> memo id, 4 = uniform-buffer shortage (need_total, -).
 _CB_TYPE = ctypes.CFUNCTYPE(
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
 )
@@ -402,17 +414,20 @@ class ArraySimulator:
         #: Python mirrors of the two arrays above: the stepwise
         #: generation path peeks a per-rep (t, node) heap and writes
         #: through to the arrays (which stay authoritative — the C loop
-        #: reads and updates them, after which _run_resident resyncs).
+        #: reads and updates them).
         self._gen_next_list = self._gen_next.tolist()
         self._rebuild_gen_heaps()
         #: Nodes with messages to (re)activate, as a bitmap plus a dirty
         #: flag — the array twin of the old ``_activatable`` set.
         self._act = np.zeros((R, N), dtype=np.uint8)
         #: Python mirror of the bitmap's set coords — the stepwise path
-        #: iterates the set (cheap), the C loop walks the bitmap; the
-        #: two are resynced whenever the C loop returns.
+        #: iterates the set (cheap), the C loop walks the bitmap.
         self._act_set: set[tuple[int, int]] = set()
         self._act_any = False
+        #: True once the resident loop has moved the arrays under the
+        #: mirrors above; _sync_mirrors rebuilds them before Python next
+        #: runs a cycle, so a return from C costs no O(R*N) work.
+        self._mirrors_dirty = False
         #: Node-to-node distances for the resident loop (-1 until the
         #: refill callback copies them out of ``_dist_memo``).
         if N <= _DIST_TABLE_MAX:
@@ -491,6 +506,7 @@ class ArraySimulator:
         self._ck = None if self._ck_bundle is None else self._ck_bundle.cycle
         self._c_out = np.zeros(8, dtype=np.int64)
         self._c_args: np.ndarray | None = None
+        self._c_params: np.ndarray | None = None
         self._c_msg_cap = -1
         #: Scalar in/out block of the resident loop: {cycle, busy_vcs,
         #: ejecting_count, need_total, reason, aux rep, spare, spare}.
@@ -499,15 +515,21 @@ class ArraySimulator:
         self._c_ugate = np.zeros(2, dtype=np.int64)
         #: Per-replication staging block of the C kernel's merge.
         self._c_tstage = np.zeros(R * 8, dtype=np.int64)
-        #: ctypes callback handed to starnet_run for block refills and
-        #: distance queries; exceptions are stashed and re-raised after
-        #: the C call returns.  It reaches the simulator through a weak
-        #: method, so the callback never keeps its owner alive.
+        #: ctypes callback handed to both C drivers (see _cb_dispatch);
+        #: exceptions are stashed and re-raised after the C call
+        #: returns.  It reaches the simulator through a weak method, so
+        #: the callback never keeps its owner alive.
         self._cb_exc: BaseException | None = None
         self._c_cb = _CB_TYPE(_weak_dispatch(self._cb_dispatch))
         self._c_cb_ptr = ctypes.c_void_p.from_buffer(self._c_cb).value or 0
         #: Test seam: True forces the per-cycle driver (same bits).
         self._no_resident = False
+        #: Driver event counters surfaced by phase_profile(): returns
+        #: from starnet_run, cycles it punted to step(), and service
+        #: callbacks from either C driver.
+        self._n_returns = 0
+        self._n_punts = 0
+        self._n_callbacks = 0
 
         self._last_progress = np.zeros(R, dtype=np.int64)
         self._progress_marks = np.full(R, -1, dtype=np.int64)
@@ -568,7 +590,10 @@ class ArraySimulator:
         self._mcount = np.zeros(R, dtype=np.int64)
         self._lat_bsum = np.zeros((R, Bmax), dtype=np.float64)
         self._lat_bcount = np.zeros((R, Bmax), dtype=np.int64)
-        self._sampler = [ChannelLoadSampler(self._C) for _ in range(R)]
+        #: Channel-load sample accumulators {samples, sum_v, sum_v2,
+        #: busy channels} per replication — the integer moments behind
+        #: ChannelLoadSampler, written by step() and starnet_run alike.
+        self._load_acc = np.zeros((R, 4), dtype=np.int64)
         self._hb_max = topology.diameter()
         self._hb_req = np.zeros((R, self._hb_max + 1), dtype=np.int64)
         self._hb_blk = np.zeros((R, self._hb_max + 1), dtype=np.int64)
@@ -593,9 +618,10 @@ class ArraySimulator:
 
         When the compiled kernel can run the whole cycle (stock floor
         arithmetic, no test seams, block-safe workload), the loop itself
-        moves into C (``starnet_run``) and Python is re-entered only on
-        refill/growth/miss/sample/stop events — same bits, one ctypes
-        crossing per *event* instead of per cycle.
+        moves into C (``starnet_run``), which calls back for refills and
+        memo misses and returns only on stops, pool/ejection-row growth,
+        the watchdog and errors — same bits, a handful of returns per
+        run instead of one ctypes crossing per cycle.
 
         With ``profile=True`` the call also accumulates its wall time
         and attaches :meth:`phase_profile` to the first replication's
@@ -655,7 +681,12 @@ class ArraySimulator:
         crossings), ``total`` and ``cycles``.  On the fused per-cycle C
         path, phases 2-5 run as one kernel call whose route/complete
         split is timed inside C; the numpy fallback times the same split
-        in Python.  All zeros when profiling is off.
+        in Python.  The timings are all zeros when profiling is off.
+
+        Three event counts ride along, counted whether profiling is on
+        or not: ``returns`` from the resident loop to Python, ``punts``
+        (cycles it handed back to :meth:`step`) and ``callbacks`` into
+        Python from either C driver.
         """
         p = self.state.phase_ns
         phases = {name: int(p[i]) for i, name in enumerate(_PROF_PHASES)}
@@ -664,10 +695,14 @@ class ArraySimulator:
         phases["other"] = total - accounted
         phases["total"] = total
         phases["cycles"] = int(self.cycle)
+        phases["returns"] = self._n_returns
+        phases["punts"] = self._n_punts
+        phases["callbacks"] = self._n_callbacks
         return phases
 
     def _stop_rep(self, rep: int) -> None:
         """Freeze one replication: no further traffic, samples or checks."""
+        self._sync_mirrors()
         self._gen_next[rep] = math.inf
         self._gen_next_list[rep] = math.inf
         self._next_arrival = min(self._gen_next_list)
@@ -694,12 +729,14 @@ class ArraySimulator:
         )
 
     def _run_resident(self) -> list[SimulationResult]:
-        """The in-C run loop: drive ``starnet_run`` event to event.
+        """The in-C run loop: drive ``starnet_run`` return to return.
 
         Scalar state crosses through the run-state block; every return
         reason maps onto exactly the work the per-cycle driver would
         have done at the same point, so the two run paths are
-        bit-identical cycle for cycle.
+        bit-identical cycle for cycle.  A return leaves the Python
+        mirrors of the generation/activation arrays dirty; they are
+        rebuilt only if Python runs a cycle itself (a punt or a stop).
         """
         R = self._R
         st = self.state
@@ -720,8 +757,8 @@ class ArraySimulator:
             rs[1] = self._busy_vcs
             rs[2] = self._ejecting_count
             rs[3] = self._need_total
-            self._cb_exc = None
             run(self._c_params_ptr)
+            self._n_returns += 1
             reason = int(rs[4])
             self.cycle = int(rs[0])
             self._busy_vcs = int(rs[1])
@@ -729,33 +766,16 @@ class ArraySimulator:
             self._need_total = int(rs[3])
             self._u_headroom = int(self._c_ugate[0])
             self._u_spend = int(self._c_ugate[1])
-            self._gen_next_list = self._gen_next.tolist()
-            self._rebuild_gen_heaps()
-            self._next_arrival = min(self._gen_next_list) if R else math.inf
-            nz = np.nonzero(self._act)
-            self._act_set = set(zip(nz[0].tolist(), nz[1].tolist()))
-            self._act_any = bool(self._act_set)
-            if reason & _RUN_CBERR:
-                exc = self._cb_exc
-                self._cb_exc = None
-                if exc is not None:
-                    raise exc
-                raise SimulationError(
-                    "resident-loop refill callback failed without an exception"
-                )
-            if reason & _RUN_ERR:
+            self._mirrors_dirty = True
+            if reason == _RUN_CBERR:
+                self._raise_cb_exc()
+            if reason == _RUN_ERR:
                 raise SimulationError(
                     f"compiled cycle kernel invariant failure at cycle "
                     f"{self.cycle} (non-minimal route, unresolved routing "
                     "memo, or a completed message still owning channels)"
                 )
-            if reason & _RUN_MISS:
-                # Same resolution (and memo-id order) as _cycle_c's tail.
-                cap = st.capacity
-                for mf in self._c_miss[: int(self._c_out[4])].tolist():
-                    rep = mf // cap
-                    self._resolve_memo(rep, mf - rep * cap)
-            if reason & _RUN_WATCHDOG:
+            if reason == _RUN_WATCHDOG:
                 rep = int(rs[5])
                 grace = self._c_grace
                 raise SimulationError(
@@ -764,22 +784,13 @@ class ArraySimulator:
                     f"(replication {rep}, seed {self.seeds[rep]}) — "
                     "routing deadlock?"
                 )
-            if reason & _RUN_SAMPLE:
-                cyc = self.cycle - 1  # the cycle the kernel just finished
-                stats = None
-                for rep in range(R):
-                    if final[rep] is None and cyc >= self._warm[rep]:
-                        if stats is None:
-                            stats = self._sample_stats()
-                        self._sampler[rep].sample_scalars(
-                            stats[0][rep], stats[1][rep], stats[2][rep]
-                        )
-            if reason & _RUN_PUNT:
-                # The cycle needs Python (buffer refill, pool growth,
-                # memo insert, ejection-row growth): run exactly this
-                # one cycle through the per-cycle driver and re-enter.
+            if reason == _RUN_PUNT:
+                # The message pool or the ejection rows must grow: run
+                # exactly this one cycle through the per-cycle driver
+                # (which reallocates them) and re-enter.
+                self._n_punts += 1
                 self.step()
-            if reason & _RUN_STOP:
+            elif reason == _RUN_STOP:
                 cyc = self.cycle
                 for rep in range(R):
                     if (
@@ -801,6 +812,8 @@ class ArraySimulator:
         profiling pointer from the param block), so only the phases that
         run in Python are timed here.
         """
+        if self._mirrors_dirty:
+            self._sync_mirrors()
         prof = self._prof
         cycle = self.cycle
         if prof is not None:
@@ -846,18 +859,7 @@ class ArraySimulator:
         if (cycle & 31) == 0:
             self._watchdog(cycle)
         if cycle % self._sample_int == 0:
-            stats = None
-            final = self._final
-            for rep in range(self._R):
-                # A replication samples only inside its own post-warmup
-                # life — batch companions must not influence its
-                # multiplexing estimate.
-                if final[rep] is None and cycle >= self._warm[rep]:
-                    if stats is None:
-                        stats = self._sample_stats()
-                    self._sampler[rep].sample_scalars(
-                        stats[0][rep], stats[1][rep], stats[2][rep]
-                    )
+            self._load_sample(cycle)
         # Time-series probe: the resident C loop probes the cycles it
         # completes itself; every cycle that finishes here (numpy path,
         # per-cycle C path, or a PUNTed resident cycle) is probed by
@@ -904,15 +906,35 @@ class ArraySimulator:
             num_vcs=self._V,
         )
 
-    def _sample_stats(self) -> tuple[list[int], list[int], list[int]]:
-        """Per-rep busy-channel moments off the maintained ch_busy array
-        (== busy_vc_counts row reductions, in three vector passes)."""
-        cb = self.state.ch_busy.astype(np.int64)
-        return (
-            cb.sum(axis=1).tolist(),
-            (cb * cb).sum(axis=1).tolist(),
-            np.count_nonzero(cb, axis=1).tolist(),
-        )
+    def _load_sample(self, cycle: int) -> None:
+        """Channel-load sample — the twin of the C kernel's
+        ``load_sample`` (same integer moments into ``_load_acc``).
+
+        A replication samples only inside its own post-warmup life, so
+        batch companions never influence its multiplexing estimate.
+        """
+        due = (self._active_np != 0) & (self._warm_np <= cycle)
+        if not due.any():
+            return
+        cb = self.state.ch_busy[due].astype(np.int64)
+        acc = self._load_acc
+        acc[due, 0] += 1
+        acc[due, 1] += cb.sum(axis=1)
+        acc[due, 2] += (cb * cb).sum(axis=1)
+        acc[due, 3] += np.count_nonzero(cb, axis=1)
+
+    def _sync_mirrors(self) -> None:
+        """Rebuild the Python mirrors of the generation/activation
+        arrays after the resident loop moved them (no-op when clean)."""
+        if not self._mirrors_dirty:
+            return
+        self._mirrors_dirty = False
+        self._gen_next_list = self._gen_next.tolist()
+        self._rebuild_gen_heaps()
+        self._next_arrival = min(self._gen_next_list) if self._R else math.inf
+        nz = np.nonzero(self._act)
+        self._act_set = set(zip(nz[0].tolist(), nz[1].tolist()))
+        self._act_any = bool(self._act_set)
 
     def _watchdog(self, cycle: int) -> None:
         """Periodic stall check (every 32 cycles).
@@ -969,20 +991,36 @@ class ArraySimulator:
         self._dst_pos[rep, node] = 0
 
     def _cb_dispatch(self, kind: int, a: int, b: int) -> int:
-        """``starnet_run``'s service callback (ctypes re-acquires the GIL).
+        """The C kernel's service callback (ctypes re-acquires the GIL).
 
         kind 0/1 refill one node's arrival/destination block, kind 2
         answers a distance query (memoized, and copied into the dense
-        table so the C loop never asks twice).  Exceptions can't cross
-        the C frame: they are stashed for :meth:`_run_resident` to
-        re-raise and signalled to C as -1 (→ CBERR return).
+        table so the C loop never asks twice), kind 3 resolves a memo
+        miss of header (rep a, slot b) and returns its id, kind 4
+        refills the uniform buffer for ``need_total`` = a and re-bases
+        the loop's gate.  Kinds 3 and 4 patch the live parameter block
+        when they regrow an array.  Exceptions can't cross the C frame:
+        the first is stashed for the driver to re-raise
+        (:meth:`_raise_cb_exc`) and signalled to C as -1.
         """
+        self._n_callbacks += 1
         try:
+            if kind == 3:
+                return self._resolve_memo(a, b)
             if kind == 0:
                 self._refill_arr(a, b)
                 return 0
             if kind == 1:
                 self._refill_dst(a, b)
+                return 0
+            if kind == 4:
+                gate = self._c_ugate
+                self._u_headroom = int(gate[0])
+                self._u_spend = int(gate[1])
+                self._need_total = a
+                self._ensure_uniforms()
+                gate[0] = self._u_headroom
+                gate[1] = self._u_spend
                 return 0
             key = a * self.state.num_nodes + b
             dist = self._dist_memo.get(key)
@@ -992,8 +1030,16 @@ class ArraySimulator:
             self._dist_tab[a, b] = dist
             return dist
         except BaseException as exc:  # noqa: BLE001 — crossing a C frame
-            self._cb_exc = exc
+            if self._cb_exc is None:
+                self._cb_exc = exc
             return -1
+
+    def _raise_cb_exc(self) -> None:
+        """Re-raise the exception a service callback stashed."""
+        exc, self._cb_exc = self._cb_exc, None
+        if exc is None:
+            raise SimulationError("kernel callback failed without an exception")
+        raise exc
 
     def _next_arrival_time(self, rep: int, node: int) -> float:
         """Pop the node's next arrival instant from its pre-drawn block."""
@@ -1195,8 +1241,8 @@ class ArraySimulator:
         self._need_n[rep] = n + 1
         self._need_total += 1
 
-    def _resolve_memo(self, rep: int, slot: int) -> None:
-        """Assign the memo id of the header's current routing state."""
+    def _resolve_memo(self, rep: int, slot: int) -> int:
+        """Assign (and return) the memo id of the header's routing state."""
         st = self.state
         key = (
             int(st.p_header[rep, slot]),
@@ -1208,6 +1254,7 @@ class ArraySimulator:
         if mid is None:
             mid = self._new_memo(key)
         st.msg_memo[rep, slot] = mid
+        return mid
 
     def _new_memo(self, key: tuple) -> int:
         """Resolve a routing state's candidate VCs and publish the memo.
@@ -1250,14 +1297,14 @@ class ArraySimulator:
                 wide = np.zeros(self._memo_cap, dtype=old.dtype)
                 wide[: old.size] = old
                 setattr(self, name, wide)
-            self._c_args = None
+            self._patch_memo_slots()
         if self._cand_len + total > self._cand_cap:
             while self._cand_len + total > self._cand_cap:
                 self._cand_cap *= 2
             wide = np.zeros(self._cand_cap, dtype=np.int32)
             wide[: self._cand_len] = self._cand_flat[: self._cand_len]
             self._cand_flat = wide
-            self._c_args = None
+            self._patch_memo_slots()
         off = self._cand_len
         self._memo_off[mid] = off
         self._memo_alen[mid] = len(adaptive)
@@ -1306,7 +1353,25 @@ class ArraySimulator:
                 h = (h + 1) & mask
             keys[h] = kk
             vals[h] = mid
-        self._c_args = None
+        self._patch_memo_slots()
+
+    def _patch_memo_slots(self) -> None:
+        """Point the parameter block at regrown memo tables (slots 48-54).
+
+        Patched in place — the kernel may be mid-call (a kind-3
+        callback) and re-reads these slots when the callback returns.
+        """
+        params = self._c_params
+        if params is not None:
+            params[_MEMO_SLOT : _MEMO_SLOT + 7] = (
+                self._cand_flat.ctypes.data,
+                self._memo_off.ctypes.data,
+                self._memo_alen.ctypes.data,
+                self._memo_elen.ctypes.data,
+                self._hash_keys.ctypes.data,
+                self._hash_vals.ctypes.data,
+                self._hash_log2,
+            )
 
     # ------------------------------------------------------------------
     # Phase 2 — virtual-channel allocation (Python/numpy fallback)
@@ -1318,7 +1383,9 @@ class ArraySimulator:
         Worst case per replication: n-1 shuffle draws plus one draw per
         header = 2n-1.  A short buffer is refilled wholesale (remaining
         variates are discarded) — deterministic, and identical for the C
-        and numpy paths since both consume through this buffer.
+        and numpy paths since both consume through this buffer.  When
+        the need outgrows the buffer itself, it is widened and *every*
+        row is refilled, so no row reads past its old capacity.
         """
         # Cheap amortized gate first: no row can have consumed more than
         # _u_spend variates since the last exact check, and every row had
@@ -1334,13 +1401,16 @@ class ArraySimulator:
         if short.any():
             wmax = int(worst.max())
             if wmax > self._buf_cap:
-                newcap = 1 << (wmax - 1).bit_length()
-                wide = np.empty((self._R, newcap), dtype=np.float64)
-                wide[:, : self._buf_cap] = self._alloc_buf
-                self._alloc_buf = wide
-                self._buf_cap = newcap
-                self._c_args = None
-            for rep in np.nonzero(short)[0].tolist():
+                self._buf_cap = 1 << (wmax - 1).bit_length()
+                self._alloc_buf = np.empty((self._R, self._buf_cap), dtype=np.float64)
+                refill = range(self._R)
+                if self._c_params is not None:
+                    # patched in place: a kind-4 callback may be mid-call
+                    self._c_params[_UNIFORM_SLOT] = self._alloc_buf.ctypes.data
+                    self._c_params[_UNIFORM_SLOT + 1] = self._buf_cap
+            else:
+                refill = np.nonzero(short)[0].tolist()
+            for rep in refill:
                 self._alloc_buf[rep] = self._alloc_gen[rep].random(self._buf_cap)
                 self._alloc_pos[rep] = 0
         self._u_headroom = self._buf_cap - int(self._alloc_pos.max())
@@ -1803,10 +1873,11 @@ class ArraySimulator:
         """(Re)build the C kernel's parameter block.
 
         Called whenever an array the kernel touches may have been
-        reallocated: the message pool grew, the ejection columns or memo
-        tables doubled, the hash resized or the uniform buffer widened.
-        Slot layout documented in _ckernel.c — the indices here must
-        match it exactly.
+        reallocated outside a kernel call: the message pool grew or the
+        ejection columns doubled.  (Memo-table, hash and uniform-buffer
+        growth patch their slots in place instead — they can happen
+        inside a callback.)  Slot layout documented in _ckernel.c — the
+        indices here must match it exactly.
         """
         st = self.state
         rows = self._ej_cap_rows
@@ -1815,7 +1886,6 @@ class ArraySimulator:
         self._c_comps = np.empty(rows, dtype=np.int64)
         self._c_winners = np.empty(RC, dtype=np.int64)
         self._c_fin = np.empty(RC, dtype=np.int64)
-        self._c_miss = np.empty(RC, dtype=np.int64)
         self._c_msg_cap = st.capacity
         ej_rate = -1 if self._ej_rate is None else int(self._ej_rate)
         grace = self.config.watchdog_grace
@@ -1858,7 +1928,7 @@ class ArraySimulator:
                 self._c_winners.ctypes.data,  # 27
                 self._c_fin.ctypes.data,  # 28
                 self._c_comps.ctypes.data,  # 29
-                self._c_miss.ctypes.data,  # 30
+                self._load_acc.ctypes.data,  # 30
                 self._c_out.ctypes.data,  # 31
                 st.ch_busy.ctypes.data,  # 32
                 0,  # 33 do_alloc, patched per cycle
@@ -1961,9 +2031,10 @@ class ArraySimulator:
         """Run allocation + transfer + ejection through the compiled kernel.
 
         Completion bookkeeping (latency sums, slot recycling, ejection-
-        column removal) happens inside the kernel too, so the common
-        steady-state cycle is one ctypes call plus a handful of scalar
-        reads here.
+        column removal) happens inside the kernel too, and memo misses
+        of ready headers resolve through the kind-3 callback, so the
+        common steady-state cycle is one ctypes call plus a handful of
+        scalar reads here.
         """
         st = self.state
         if self._msg_cap != st.capacity:
@@ -1987,20 +2058,21 @@ class ArraySimulator:
         params[_DO_ALLOC_SLOT] = do_alloc
         params[_CYCLE_SLOT] = cycle
         self._ck(self._c_params_ptr)
-        out = self._c_out.tolist()  # one bulk read beats 6 scalar reads
-        if out[5]:
+        out = self._c_out.tolist()  # one bulk read beats 5 scalar reads
+        if out[4]:
+            if out[4] & _ERR_CALLBACK:
+                self._raise_cb_exc()
             raise SimulationError(
                 f"compiled cycle kernel invariant failure at cycle {cycle} "
                 "(non-minimal route, unresolved routing memo, or a "
                 "completed message still owning channels)"
             )
         self._busy_vcs += out[1]
-        self._ejecting_count = out[6]
+        self._ejecting_count = out[5]
         # Allocation consumed headers and/or ready events appended some:
         # the C-side sum is authoritative either way.
-        self._need_total = out[7]
+        self._need_total = out[6]
         fn = out[2]
-        rm = out[4]
         if fn:
             N = st.num_nodes
             af = self._f_act
@@ -2009,14 +2081,6 @@ class ArraySimulator:
                 af[x] = 1
                 act_set.add((x // N, x % N))
             self._act_any = True
-        if rm:
-            # Headers whose new routing state missed the C-side hash:
-            # resolve in Python (insertion order = C's report order, so
-            # memo ids stay deterministic).
-            cap = st.capacity
-            for mf in self._c_miss[:rm].tolist():
-                rep = mf // cap
-                self._resolve_memo(rep, mf - rep * cap)
 
     # ------------------------------------------------------------------
     # Results
@@ -2050,6 +2114,7 @@ class ArraySimulator:
             mu = sum(means) / k
             var = sum((m - mu) ** 2 for m in means) / (k - 1)
             lat_ci = 1.96 * math.sqrt(var / k)
+        sum_v, sum_v2 = self._load_acc[rep, 1:3].tolist()
         return {
             "cycles_run": self.cycle,
             "transfers": int(self.state.transfers[rep]),
@@ -2064,7 +2129,8 @@ class ArraySimulator:
             "lat_count": cnt,
             "net_mean": net_mean,
             "srcw_mean": srcw_mean,
-            "multiplexing": self._sampler[rep].multiplexing_degree,
+            # V̄ = E[v²]/E[v] (Dally's eq. 19), as ChannelLoadSampler.
+            "multiplexing": sum_v2 / sum_v if sum_v else 1.0,
             "hb_req": self._hb_req[rep].copy(),
             "hb_blk": self._hb_blk[rep].copy(),
             "hb_wait": self._hb_wait[rep].copy(),

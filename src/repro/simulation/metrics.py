@@ -244,19 +244,6 @@ class ChannelLoadSampler:
             self._sum_v2 += int((counts * counts).sum())
             self._busy_channel_samples += counts.size
 
-    def sample_scalars(self, sum_v: int, sum_v2: int, busy: int) -> None:
-        """Record one snapshot from precomputed row moments.
-
-        Equivalent to :meth:`sample_counts` on a row whose busy-channel
-        sum, square-sum and count are the given scalars — callers that
-        sample many replications at once reduce the whole matrix in a
-        few vector passes and feed plain ints here.
-        """
-        self._samples += 1
-        self._sum_v += sum_v
-        self._sum_v2 += sum_v2
-        self._busy_channel_samples += busy
-
     @property
     def multiplexing_degree(self) -> float:
         """V̄ estimate (1.0 when no traffic was observed)."""

@@ -6,8 +6,8 @@ Result equality alone is a weak oracle: two kernels could diverge
 mid-run and reconverge, or diverge only in state the results never read.
 :func:`state_digest` closes that gap by hashing the complete mutable
 state of an :class:`~repro.simulation.kernels.ArraySimulator` (VC words,
-message pool, pending/ejection/free lists, RNG cursors, metric
-accumulators) into one SHA-256, and :func:`run_digests` collects the
+message pool, pending/ejection/free lists, RNG cursors, metric and
+channel-load accumulators) into one SHA-256, and :func:`run_digests` collects the
 digest after every cycle, so a parity test can pinpoint the exact first
 cycle where two backends disagree.
 
@@ -91,6 +91,7 @@ _SIM_FIELDS = (
     "_hb_req",
     "_hb_blk",
     "_hb_wait",
+    "_load_acc",
 )
 
 

@@ -39,7 +39,14 @@ class TestPhaseProfile:
         result = sim.run()[0]
         prof = result.phase_ns
         assert prof is not None
-        assert set(prof) == set(PHASES) | {"other", "total", "cycles"}
+        assert set(prof) == set(PHASES) | {
+            "other",
+            "total",
+            "cycles",
+            "returns",
+            "punts",
+            "callbacks",
+        }
         assert prof["total"] > 0
         assert prof["cycles"] == result.cycles_run
         assert all(prof[p] >= 0 for p in PHASES)

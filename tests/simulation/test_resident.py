@@ -1,0 +1,184 @@
+"""The resident C loop on S5: parity, residency and callback failures.
+
+``starnet_run`` services memo misses (callback kind 3) and uniform-
+buffer shortages (kind 4) inside the loop and samples channel load in
+C, so on the paper's 120-node star it returns to Python only for stops
+and message-pool/ejection-row growth.  These tests pin that contract
+with the driver's own event counters, check that the three array paths
+(resident loop, per-cycle C driver, numpy passes) still end in the same
+bits, and that a Python exception raised inside a kind-3 callback
+surfaces unchanged from both C drivers without pinning the simulator.
+"""
+
+import gc
+import sys
+import weakref
+
+import numpy as np
+import pytest
+
+from repro.routing import EnhancedNbc
+from repro.simulation import ArraySimulator, SimulationConfig
+from repro.simulation.ckernel import load_kernel
+from repro.simulation.trace import state_digest
+from repro.utils.rng import RngStreams
+
+needs_kernel = pytest.mark.skipif(
+    load_kernel() is None, reason="no C compiler available"
+)
+
+SEEDS = (3, 4, 5, 6)
+
+
+def s5_config(**overrides):
+    base = dict(
+        message_length=32,
+        generation_rate=0.006,
+        total_vcs=6,
+        warmup_cycles=500,
+        measure_cycles=1_500,
+        drain_cycles=1_000,
+        seed=SEEDS[0],
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def _counting(sim, name):
+    """Wrap one simulator method with a call counter."""
+    calls = [0]
+    inner = getattr(sim, name)
+
+    def wrapper(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    setattr(sim, name, wrapper)
+    return calls
+
+
+@needs_kernel
+class TestS5Residency:
+    @pytest.fixture(scope="class")
+    def runs(self, star5):
+        out = {}
+        for path in ("resident", "per_cycle", "numpy"):
+            sim = ArraySimulator(star5, EnhancedNbc(), s5_config(), seeds=SEEDS)
+            if path == "per_cycle":
+                sim._no_resident = True
+            elif path == "numpy":
+                sim._ck_bundle = None
+                sim._ck = None
+            cap0, rows0 = sim.state.capacity, sim._ej_cap_rows
+            misses = _counting(sim, "_resolve_memo")
+            refills = _counting(sim, "_ensure_uniforms")
+            results = sim.run()
+            out[path] = {
+                "results": [r.as_dict() for r in results],
+                "digest": state_digest(sim),
+                "profile": sim.phase_profile(),
+                "growths": (sim.state.capacity // cap0).bit_length() - 1
+                + (sim._ej_cap_rows // rows0).bit_length() - 1,
+                "misses": misses[0],
+                "refills": refills[0],
+            }
+        return out
+
+    def test_results_identical_on_all_paths(self, runs):
+        assert runs["resident"]["results"] == runs["numpy"]["results"]
+        assert runs["per_cycle"]["results"] == runs["numpy"]["results"]
+        assert runs["resident"]["profile"]["cycles"] >= 2_000
+
+    def test_state_digest_identical_on_all_paths(self, runs):
+        assert runs["resident"]["digest"] == runs["numpy"]["digest"]
+        assert runs["per_cycle"]["digest"] == runs["numpy"]["digest"]
+
+    def test_returns_only_for_stops_and_growth(self, runs):
+        run = runs["resident"]
+        prof = run["profile"]
+        # Memo misses and uniform refills really happened, as callbacks.
+        assert run["misses"] > 100 and run["refills"] > 0
+        assert prof["callbacks"] >= run["misses"]
+        # Every punt grows the message pool or the ejection rows (each
+        # growth doubles), and every other return stops a replication.
+        assert prof["punts"] <= run["growths"]
+        assert prof["returns"] - prof["punts"] <= len(SEEDS)
+
+    def test_per_cycle_driver_never_returns_from_the_loop(self, runs):
+        prof = runs["per_cycle"]["profile"]
+        assert prof["returns"] == prof["punts"] == 0
+        assert prof["callbacks"] > 0  # ready-event memo misses
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def _raise_in_callback(algorithm, after):
+    """Make ``algorithm.ports`` raise once it has served ``after`` calls
+    made from inside a kernel callback (so the error crosses C)."""
+    inner = algorithm.ports
+    seen = [0]
+    raised = []
+
+    def ports(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_cb_dispatch":
+            frame = frame.f_back
+        if frame is not None:
+            seen[0] += 1
+            if seen[0] > after:
+                raised.append(Boom(f"ports failed after {after} calls"))
+                raise raised[-1]
+        return inner(*args)
+
+    algorithm.ports = ports
+    return raised
+
+
+@needs_kernel
+class TestCallbackExceptions:
+    @pytest.mark.parametrize("no_resident", [False, True], ids=["resident", "per_cycle"])
+    def test_kind3_exception_propagates_and_frees_sim(self, star4, no_resident):
+        algorithm = EnhancedNbc()
+        sim = ArraySimulator(
+            star4, algorithm, s5_config(generation_rate=0.01), seeds=SEEDS
+        )
+        sim._no_resident = no_resident
+        raised = _raise_in_callback(algorithm, after=40)
+        with pytest.raises(Boom) as info:
+            sim.run()
+        assert info.value is raised[0]
+        assert sim._cb_exc is None  # handed over, not kept
+        ref = weakref.ref(sim)
+        raised.clear()  # the patched ports closure still holds this list
+        del sim, info
+        gc.collect()
+        assert ref() is None
+
+
+class TestUniformBufferWidening:
+    def test_widening_refills_every_row(self, star3):
+        """A need wider than the buffer refills every row, not just the
+        short ones: no row may keep uninitialised memory past its old
+        capacity, and each row continues its own allocator stream."""
+        seeds = (7, 8)
+        sims = [
+            ArraySimulator(star3, EnhancedNbc(), s5_config(), seeds=seeds)
+            for _ in range(2)
+        ]
+        for sim in sims:
+            cap = sim._buf_cap
+            sim._need_n[:] = (cap, 0)
+            sim._need_total = cap
+            sim._ensure_uniforms()
+            assert sim._buf_cap == 2 * cap
+        buf = sims[0]._alloc_buf
+        assert np.array_equal(buf, sims[1]._alloc_buf)
+        for rep, seed in enumerate(seeds):
+            pos = int(sims[0]._alloc_pos[rep])
+            tail = buf[rep, pos:]
+            assert tail.size and np.all((tail >= 0.0) & (tail < 1.0))
+            stream = RngStreams(seed).allocator()
+            stream.random(cap)  # the initial fill
+            assert np.array_equal(buf[rep], stream.random(2 * cap))
