@@ -174,9 +174,9 @@ def run_campaign(
     executor:
         ``"processes"`` (default) uses a process pool — full isolation,
         pickling per unit.  ``"threads"`` uses an in-process thread
-        pool: zero pickling and one shared cache, worthwhile when the
-        units run the array engine (the compiled kernel releases the
-        GIL for its whole C-resident run).
+        pool: zero pickling and one shared cache, but it has not beaten
+        a serial run on any measured campaign, array-engine units
+        included (docs/simulation.md, "Parallelism model").
     store:
         A :class:`ResultStore`, a path to create one at, or None.
     resume:

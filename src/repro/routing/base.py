@@ -74,7 +74,12 @@ class EligibleSet:
 
 @dataclass
 class MessageRouteState:
-    """Per-message deadlock-avoidance state carried across hops."""
+    """Per-message deadlock-avoidance state carried across hops.
+
+    Of these fields :meth:`RoutingAlgorithm.eligible` may read only
+    ``escape_floor``; the hop counters are bookkeeping for
+    :meth:`RoutingAlgorithm.advance_floor` and diagnostics.
+    """
 
     #: Lowest escape class currently usable (paper: negative hops taken,
     #: raised further by any bonus-card classes already spent).
@@ -123,7 +128,16 @@ class RoutingAlgorithm(abc.ABC):
         hop_negative: bool,
         state: MessageRouteState,
     ) -> EligibleSet:
-        """Eligible VCs on any profitable port for the current hop."""
+        """Eligible VCs on any profitable port for the current hop.
+
+        Contract: the answer may depend only on ``cfg``, ``d_remaining``,
+        ``hop_negative`` and ``state.escape_floor`` — never on
+        ``state.hops_taken`` or ``state.negative_hops``.  The array
+        backend relies on this: it tabulates ``eligible()`` once per
+        (distance, colour, floor) at construction, treating a
+        :class:`ConfigurationError` as "no such state", and expects both
+        returned ranges to be contiguous.
+        """
 
     def advance_floor(
         self,

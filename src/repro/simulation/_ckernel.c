@@ -3,8 +3,8 @@
  * repro.simulation.kernels in one call — plus a cycle-resident driver
  * (starnet_run) that also runs generation, activation, channel-load
  * sampling and the watchdog in C.  Events the Python side must service
- * inside a cycle (block refills, distance queries, routing-memo misses,
- * uniform-buffer shortages) are callbacks into Python; the loop itself
+ * inside a cycle (block refills, route-row fills, uniform-buffer
+ * shortages) are callbacks into Python; the loop itself
  * returns only on stops, message-pool or ejection-row growth, the
  * watchdog and errors.
  *
@@ -20,17 +20,15 @@
  * in a deterministic order (shuffle first, then at most one draw per
  * header), so numpy and C paths read the identical variate sequence.
  *
- * Routing candidates are memoized: msg_memo[slot] indexes a flattened
- * candidate table (cand_flat + memo_off/alen/elen) built lazily by the
- * Python side.  Headers entering the pending list (activation, or a
- * transfer "ready" event) probe an open-addressing hash (int64 keys, -1
- * empty, Fibonacci hashing, linear probe — mirrored exactly by the
- * Python inserts); a miss calls back into Python (kind 3), which
- * resolves the memo on the spot, possibly regrowing the tables — the
- * kernel re-reads slots 48-54 after every such call.  Misses resolve in
- * the order the numpy passes resolve them (activation in (rep, node)
- * order, ready events rep-major in ascending VC order), so memo ids are
- * identical on every path.
+ * Routing is data.  A header's candidate VCs come from two tables:
+ * the route table, one packed int8 row {dist, nports, ports...} per
+ * (cur, dst) pair (dist = -1 until the kind-2 callback fills the row:
+ * at generation for (src, dst), at a transfer "ready" event for
+ * (cur, dst)), and the eligibility-class table, one {a_lo, a_n, e_lo,
+ * e_n} entry per (distance, colour, escape floor), built eagerly by
+ * the Python side from RoutingAlgorithm.eligible.  Allocation walks the
+ * ports in row order and each port's VC range in ascending index,
+ * adaptive before escape — the order the numpy path enumerates.
  *
  * Round-robin arbitration uses the packed lookup table when `lut` is
  * non-null (V <= 15); otherwise a per-channel scan tracks the candidate
@@ -93,95 +91,98 @@
  *  38 need_slots  (int32*, R*cap) pending headers, compacted in place
  *  39 need_n      (int64*, R)     in/out pending counts
  *  40 p_dst  41 p_header  42 p_dist  43 p_floor  44 p_hops
- *  45 p_first  46 p_head_vc  47 msg_memo   (all int32*, R*cap)
- *  48 cand_flat   (int32*)        flattened candidate VC ids
- *  49 memo_off    (int64*)  50 memo_alen  51 memo_elen  (int32*)
- *  52 hash_keys   (int64*)  53 hash_vals (int32*)  54 hash_log2
- *  55 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
- *  56 buf_cap     57 alloc_pos (int64*, R)
- *  58 neighbors   (int32*, C)     node reached through each channel
- *  59 color       (uint8*, N)     1 on "negative-hop" nodes
- *  60 msg_measured(uint8*, R*cap)
- *  61 msg_t_inject(double*, R*cap)
- *  62 alloc_attempts (int64*, R)  63 alloc_failures (int64*, R)
- *  64 injected    (int64*, R)     measured injections in window
- *  65 hb_req  66 hb_blk  67 hb_wait (int64*, R*(hb_max+1))
- *  68 hb_max
- *  69 msg_t_gen   (double*, R*cap) generation instant per message
- *  70 in_flight   (int64*, R)     live message counts
- *  71 meas_flight (int64*, R)     live *measured* message counts
- *  72 completed   (int64*, R)     cumulative completions
- *  73 free_stack  (int32*, R*cap) free-slot stacks  74 free_n (int64*, R)
- *  75 lat_sum     (double*, R)    total-latency accumulator
- *  76 net_sum     (double*, R)    network-latency accumulator
- *  77 srcw_sum    (double*, R)    source-wait accumulator
- *  78 mcount      (int64*, R)     measured completions
- *  79 lat_bsum    (double*, R*Bmax) per-batch latency sums
- *  80 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
- *  81 w_t0        (double*, R)    measurement-window start per rep
- *  82 w_width     (double*, R)    batch width per rep
- *  83 w_batches   (int64*, R)     batch count per rep  84 Bmax
+ *  45 p_first  46 p_head_vc   (all int32*, R*cap)
+ *  47 route       (int8*, N*N*route_w) rows {dist, nports, ports...};
+ *                                  dist -1: unresolved (kind 2 fills it)
+ *  48 route_w                     row width, 2 + deg
+ *  49 cls         (int32*, cls_d*2*num_escape*4) eligibility classes
+ *                                  {a_lo, a_n, e_lo, e_n} at ((d-1)*2 +
+ *                                  colour)*num_escape + floor; a_n -1:
+ *                                  a state eligible() rejects
+ *  50 cls_d                       diameter  51 num_escape
+ *  52 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
+ *  53 buf_cap     54 alloc_pos (int64*, R)
+ *  55 neighbors   (int32*, C)     node reached through each channel
+ *  56 color       (uint8*, N)     1 on "negative-hop" nodes
+ *  57 msg_measured(uint8*, R*cap)
+ *  58 msg_t_inject(double*, R*cap)
+ *  59 alloc_attempts (int64*, R)  60 alloc_failures (int64*, R)
+ *  61 injected    (int64*, R)     measured injections in window
+ *  62 hb_req  63 hb_blk  64 hb_wait (int64*, R*(hb_max+1))
+ *  65 hb_max
+ *  66 msg_t_gen   (double*, R*cap) generation instant per message
+ *  67 in_flight   (int64*, R)     live message counts
+ *  68 meas_flight (int64*, R)     live *measured* message counts
+ *  69 completed   (int64*, R)     cumulative completions
+ *  70 free_stack  (int32*, R*cap) free-slot stacks  71 free_n (int64*, R)
+ *  72 lat_sum     (double*, R)    total-latency accumulator
+ *  73 net_sum     (double*, R)    network-latency accumulator
+ *  74 srcw_sum    (double*, R)    source-wait accumulator
+ *  75 mcount      (int64*, R)     measured completions
+ *  76 lat_bsum    (double*, R*Bmax) per-batch latency sums
+ *  77 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
+ *  78 w_t0        (double*, R)    measurement-window start per rep
+ *  79 w_width     (double*, R)    batch width per rep
+ *  80 w_batches   (int64*, R)     batch count per rep  81 Bmax
  *
- * Staging + resident-driver slots (85+):
+ * Staging + resident-driver slots (82+):
  *
- *  85 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
+ *  82 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
  *                                  fin_n, spare, err, newej_n,
  *                                  newej_base, bucket_end}
- *  86 gen_node_t  (double*, R*N)  next arrival instant per node
- *  87 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  88 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  89 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  90 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  91 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  92 dst_pos     (int32*, R*N)  93 dst_len (int32*, R*N)
- *  94 GB                          generation block size
- *  95 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  96 qhead  97 qtail  98 qlen   (int32*, R*N) per-node queues
- *  99 act         (uint8*, R*N)   nodes with pending activations
- * 100 dist_tab    (int32*, N*N)   distance table (-1: unresolved)
- * 101 cb                          service callback into Python
+ *  83 gen_node_t  (double*, R*N)  next arrival instant per node
+ *  84 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
+ *  85 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
+ *  86 arr_pos     (int32*, R*N)   cursor into arr_buf
+ *  87 arr_len     (int32*, R*N)   valid entries in arr_buf
+ *  88 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
+ *  89 dst_pos     (int32*, R*N)  90 dst_len (int32*, R*N)
+ *  91 GB                          generation block size
+ *  92 qnext       (int32*, R*cap) source-queue links (next slot or -1)
+ *  93 qhead  94 qtail  95 qlen   (int32*, R*N) per-node queues
+ *  96 act         (uint8*, R*N)   nodes with pending activations
+ *  97 cb                          service callback into Python
  *                                  int64 cb(kind, a, b):
  *                                  0 arrival-block refill (rep, node)
  *                                  1 dest-block refill (rep, node)
- *                                  2 distance query (src, dst) -> d
- *                                  3 memo miss (rep, slot) -> memo id;
- *                                    re-read slots 48-54 afterwards
+ *                                  2 route row (cur, dst) -> distance;
+ *                                    fills the row in place
  *                                  4 uniform shortage (need_total, -):
  *                                    refill + re-base ugate; re-read
- *                                    slots 55-56 afterwards
+ *                                    slots 52-53 afterwards
  *                                  negative return: Python exception
- * 102 generated   (int64*, R)  103 meas_generated (int64*, R)
- * 104 warm        (int64*, R)  105 horizon (int64*, R)
- * 106 end         (int64*, R)     horizon + drain budget
- * 107 active      (uint8*, R)     1 until the rep's result is frozen
- * 108 slots                       injection slots per node
- * 109 grace                       watchdog grace (cycles)
- * 110 marks       (int64*, R)  111 lastp (int64*, R)  watchdog state
- * 112 sample_interval             cycles between channel-load samples
- * 113 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 114 ej_cap_rows                 ejection-column capacity
- * 115 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
+ *  98 generated   (int64*, R)   99 meas_generated (int64*, R)
+ * 100 warm        (int64*, R)  101 horizon (int64*, R)
+ * 102 end         (int64*, R)     horizon + drain budget
+ * 103 active      (uint8*, R)     1 until the rep's result is frozen
+ * 104 slots                       injection slots per node
+ * 105 grace                       watchdog grace (cycles)
+ * 106 marks       (int64*, R)  107 lastp (int64*, R)  watchdog state
+ * 108 sample_interval             cycles between channel-load samples
+ * 109 ugate       (int64*, 2)     {headroom, spend} uniform gate
+ * 110 ej_cap_rows                 ejection-column capacity
+ * 111 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
  *                                  need_total, reason, aux, 0, 0}
  *                                  (starnet_run only)
- * 116 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
+ * 112 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
  *                                  -, -} (total/cycles live Python-side;
  *                                  see ArraySimulator.phase_profile)
  *
- * Time-series probe slots (117+), the same NULL-pointer = zero-overhead
- * contract as slot 116 (see probe_sample / docs/observability.md):
+ * Time-series probe slots (113+), the same NULL-pointer = zero-overhead
+ * contract as slot 112 (see probe_sample / docs/observability.md):
  *
- * 117 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
+ * 113 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
  *                                  when probing is off; one sample is
  *                                  R rows of {in_flight, completed,
  *                                  backlog, occupancy histogram 0..V}
- * 118 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 119 pb_state    (int64*, 1)     {sample count} — shared with the
+ * 114 pb_cycles   (int64*, cap)   cycle stamp per sample
+ * 115 pb_state    (int64*, 1)     {sample count} — shared with the
  *                                  Python-driven cycles so both append
  *                                  to the same ring
- * 120 pb_interval                 cycles between samples
- * 121 pb_cap                      ring capacity (samples)
+ * 116 pb_interval                 cycles between samples
+ * 117 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
@@ -207,9 +208,10 @@
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
 /* Decoded parameter block.  Pool and ejection-row growth punt back to
- * Python before anything reallocates; the memo tables and the uniform
- * buffer may be regrown inside a callback, which patches the block in
- * place, so those pointers are re-read after every kind-3/4 call. */
+ * Python before anything reallocates; the uniform buffer may be regrown
+ * inside a callback, which patches the block in place, so its pointer
+ * is re-read after every kind-4 call.  The route table never moves: the
+ * kind-2 callback fills its rows in place. */
 typedef struct Ctx {
     const int64_t *P;
     int32_t *bd, *avail, *owner, *up, *down, *rr;
@@ -231,13 +233,11 @@ typedef struct Ctx {
     int32_t *need_slots;
     int64_t *need_n;
     int32_t *p_dst, *p_header, *p_dist, *p_floor, *p_hops, *p_first;
-    int32_t *p_head_vc, *msg_memo;
-    const int32_t *cand_flat;
-    const int64_t *memo_off;
-    const int32_t *memo_alen, *memo_elen;
-    const int64_t *hash_keys;
-    const int32_t *hash_vals;
-    int64_t hash_log2;
+    int32_t *p_head_vc;
+    const int8_t *route;
+    int64_t route_w;
+    const int32_t *cls;
+    int64_t cls_d, num_escape;
     const double *alloc_buf;
     int64_t buf_cap;
     int64_t *alloc_pos;
@@ -268,7 +268,6 @@ typedef struct Ctx {
     int64_t GB;
     int32_t *qnext, *qhead, *qtail, *qlen;
     uint8_t *act;
-    int32_t *dist_tab;
     starnet_cb cb;
     int64_t *generated, *meas_generated;
     const int64_t *warm, *horizon, *end;
@@ -299,24 +298,11 @@ static inline int64_t prof_now(const int64_t *prof)
     return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* Memo tables (slots 48-54): regrown by the kind-3 callback. */
-static void load_memo(Ctx *c)
-{
-    const int64_t *P = c->P;
-    c->cand_flat = (const int32_t *)P[48];
-    c->memo_off = (const int64_t *)P[49];
-    c->memo_alen = (const int32_t *)P[50];
-    c->memo_elen = (const int32_t *)P[51];
-    c->hash_keys = (const int64_t *)P[52];
-    c->hash_vals = (const int32_t *)P[53];
-    c->hash_log2 = P[54];
-}
-
-/* Uniform buffer (slots 55-56): widened by the kind-4 callback. */
+/* Uniform buffer (slots 52-53): widened by the kind-4 callback. */
 static void load_uniforms(Ctx *c)
 {
-    c->alloc_buf = (const double *)c->P[55];
-    c->buf_cap = c->P[56];
+    c->alloc_buf = (const double *)c->P[52];
+    c->buf_cap = c->P[53];
 }
 
 static void decode(Ctx *c, int64_t *P)
@@ -367,74 +353,76 @@ static void decode(Ctx *c, int64_t *P)
     c->p_hops = (int32_t *)P[44];
     c->p_first = (int32_t *)P[45];
     c->p_head_vc = (int32_t *)P[46];
-    c->msg_memo = (int32_t *)P[47];
-    load_memo(c);
+    c->route = (const int8_t *)P[47];
+    c->route_w = P[48];
+    c->cls = (const int32_t *)P[49];
+    c->cls_d = P[50];
+    c->num_escape = P[51];
     load_uniforms(c);
-    c->alloc_pos = (int64_t *)P[57];
-    c->neighbors = (const int32_t *)P[58];
-    c->color = (const uint8_t *)P[59];
-    c->measured = (uint8_t *)P[60];
-    c->t_inject = (double *)P[61];
-    c->alloc_attempts = (int64_t *)P[62];
-    c->alloc_failures = (int64_t *)P[63];
-    c->injected = (int64_t *)P[64];
-    c->hb_req = (int64_t *)P[65];
-    c->hb_blk = (int64_t *)P[66];
-    c->hb_wait = (int64_t *)P[67];
-    c->hb_max = P[68];
-    c->t_gen = (double *)P[69];
-    c->in_flight = (int64_t *)P[70];
-    c->meas_flight = (int64_t *)P[71];
-    c->completed = (int64_t *)P[72];
-    c->free_stack = (int32_t *)P[73];
-    c->free_n = (int64_t *)P[74];
-    c->lat_sum = (double *)P[75];
-    c->net_sum = (double *)P[76];
-    c->srcw_sum = (double *)P[77];
-    c->mcount = (int64_t *)P[78];
-    c->lat_bsum = (double *)P[79];
-    c->lat_bcount = (int64_t *)P[80];
-    c->w_t0 = (const double *)P[81];
-    c->w_width = (const double *)P[82];
-    c->w_batches = (const int64_t *)P[83];
-    c->Bmax = P[84];
-    c->tstage = (int64_t *)P[85];
-    c->gen_node_t = (double *)P[86];
-    c->gen_next = (double *)P[87];
-    c->arr_buf = (double *)P[88];
-    c->arr_pos = (int32_t *)P[89];
-    c->arr_len = (int32_t *)P[90];
-    c->dst_buf = (int32_t *)P[91];
-    c->dst_pos = (int32_t *)P[92];
-    c->dst_len = (int32_t *)P[93];
-    c->GB = P[94];
-    c->qnext = (int32_t *)P[95];
-    c->qhead = (int32_t *)P[96];
-    c->qtail = (int32_t *)P[97];
-    c->qlen = (int32_t *)P[98];
-    c->act = (uint8_t *)P[99];
-    c->dist_tab = (int32_t *)P[100];
-    c->cb = (starnet_cb)(intptr_t)P[101];
-    c->generated = (int64_t *)P[102];
-    c->meas_generated = (int64_t *)P[103];
-    c->warm = (const int64_t *)P[104];
-    c->horizon = (const int64_t *)P[105];
-    c->end = (const int64_t *)P[106];
-    c->active = (uint8_t *)P[107];
-    c->slots = P[108];
-    c->grace = P[109];
-    c->marks = (int64_t *)P[110];
-    c->lastp = (int64_t *)P[111];
-    c->sample_interval = P[112];
-    c->ugate = (int64_t *)P[113];
-    c->ej_cap_rows = P[114];
-    c->run_state = (int64_t *)P[115];
-    c->prof = (int64_t *)P[116];
-    c->pb_data = (int64_t *)P[117];
-    c->pb_cycles = (int64_t *)P[118];
-    c->pb_state = (int64_t *)P[119];
-    c->pb_interval = P[120];
-    c->pb_cap = P[121];
+    c->alloc_pos = (int64_t *)P[54];
+    c->neighbors = (const int32_t *)P[55];
+    c->color = (const uint8_t *)P[56];
+    c->measured = (uint8_t *)P[57];
+    c->t_inject = (double *)P[58];
+    c->alloc_attempts = (int64_t *)P[59];
+    c->alloc_failures = (int64_t *)P[60];
+    c->injected = (int64_t *)P[61];
+    c->hb_req = (int64_t *)P[62];
+    c->hb_blk = (int64_t *)P[63];
+    c->hb_wait = (int64_t *)P[64];
+    c->hb_max = P[65];
+    c->t_gen = (double *)P[66];
+    c->in_flight = (int64_t *)P[67];
+    c->meas_flight = (int64_t *)P[68];
+    c->completed = (int64_t *)P[69];
+    c->free_stack = (int32_t *)P[70];
+    c->free_n = (int64_t *)P[71];
+    c->lat_sum = (double *)P[72];
+    c->net_sum = (double *)P[73];
+    c->srcw_sum = (double *)P[74];
+    c->mcount = (int64_t *)P[75];
+    c->lat_bsum = (double *)P[76];
+    c->lat_bcount = (int64_t *)P[77];
+    c->w_t0 = (const double *)P[78];
+    c->w_width = (const double *)P[79];
+    c->w_batches = (const int64_t *)P[80];
+    c->Bmax = P[81];
+    c->tstage = (int64_t *)P[82];
+    c->gen_node_t = (double *)P[83];
+    c->gen_next = (double *)P[84];
+    c->arr_buf = (double *)P[85];
+    c->arr_pos = (int32_t *)P[86];
+    c->arr_len = (int32_t *)P[87];
+    c->dst_buf = (int32_t *)P[88];
+    c->dst_pos = (int32_t *)P[89];
+    c->dst_len = (int32_t *)P[90];
+    c->GB = P[91];
+    c->qnext = (int32_t *)P[92];
+    c->qhead = (int32_t *)P[93];
+    c->qtail = (int32_t *)P[94];
+    c->qlen = (int32_t *)P[95];
+    c->act = (uint8_t *)P[96];
+    c->cb = (starnet_cb)(intptr_t)P[97];
+    c->generated = (int64_t *)P[98];
+    c->meas_generated = (int64_t *)P[99];
+    c->warm = (const int64_t *)P[100];
+    c->horizon = (const int64_t *)P[101];
+    c->end = (const int64_t *)P[102];
+    c->active = (uint8_t *)P[103];
+    c->slots = P[104];
+    c->grace = P[105];
+    c->marks = (int64_t *)P[106];
+    c->lastp = (int64_t *)P[107];
+    c->sample_interval = P[108];
+    c->ugate = (int64_t *)P[109];
+    c->ej_cap_rows = P[110];
+    c->run_state = (int64_t *)P[111];
+    c->prof = (int64_t *)P[112];
+    c->pb_data = (int64_t *)P[113];
+    c->pb_cycles = (int64_t *)P[114];
+    c->pb_state = (int64_t *)P[115];
+    c->pb_interval = P[116];
+    c->pb_cap = P[117];
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }
@@ -471,39 +459,28 @@ static void probe_sample(const Ctx *c, int64_t cycle)
     c->pb_state[0] = s + 1;
 }
 
-static int64_t probe_memo(const int64_t *keys, const int32_t *vals,
-                          int64_t log2size, int64_t kk)
+/* Route row (cur, dst): {dist, nports, ports...}, filled on first use
+ * by the kind-2 callback.  NULL once a callback has raised. */
+static const int8_t *route_row(Ctx *c, int64_t cur, int64_t dst)
 {
-    const uint64_t mask = ((uint64_t)1 << log2size) - 1;
-    uint64_t h = ((uint64_t)kk * 0x9E3779B97F4A7C15ULL) >> (64 - log2size);
-    for (;;) {
-        const int64_t k = keys[h];
-        if (k == kk)
-            return vals[h];
-        if (k == -1)
-            return -1;
-        h = (h + 1) & mask;
+    const int8_t *row = c->route + (cur * c->N + dst) * c->route_w;
+    if (row[0] < 0 && (c->cberr || c->cb(2, cur, dst) < 0)) {
+        c->cberr = 1;
+        return NULL;
     }
+    return row;
 }
 
-/* Routing-memo id of a header's current state: the hash probe, and on
- * a miss the kind-3 callback, after which the (possibly regrown) memo
- * tables are re-read.  Returns -1 once a callback has raised. */
-static int64_t memo_id(Ctx *c, int64_t r, int64_t mf, int64_t kk)
+/* Eligibility class {a_lo, a_n, e_lo, e_n} of a header d hops from home
+ * on a node of colour col with escape floor fl; NULL for a state outside
+ * the table or one eligible() rejects (an unresolved row has d = -1). */
+static const int32_t *class_entry(const Ctx *c, int64_t d, int64_t col,
+                                  int64_t fl)
 {
-    const int64_t mid =
-        probe_memo(c->hash_keys, c->hash_vals, c->hash_log2, kk);
-    if (mid >= 0)
-        return mid;
-    if (c->cberr)
-        return -1;
-    const int64_t got = c->cb(3, r, mf - r * c->cap);
-    if (got < 0) {
-        c->cberr = 1;
-        return -1;
-    }
-    load_memo(c);
-    return got;
+    if (d < 1 || d > c->cls_d || fl < 0 || fl >= c->num_escape)
+        return NULL;
+    const int32_t *e = c->cls + (((d - 1) * 2 + col) * c->num_escape + fl) * 4;
+    return e[1] < 0 ? NULL : e;
 }
 
 /* Channel-load sample of every live post-warmup replication: the
@@ -574,26 +551,31 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 const int64_t mf = r * cap + s;
                 if (c->p_first[mf] < 0)
                     c->p_first[mf] = (int32_t)cycle;
-                const int32_t memo = c->msg_memo[mf];
-                if (memo < 0) { /* broken invariant: surface, don't hang */
+                const int64_t cur = c->p_header[mf];
+                const int8_t *row =
+                    c->route + (cur * N + c->p_dst[mf]) * c->route_w;
+                const int32_t *e =
+                    class_entry(c, row[0], c->color[cur], c->p_floor[mf]);
+                if (!e) { /* broken invariant: surface, don't hang */
                     err_r = ERR_INVARIANT;
                     ns[keep++] = s;
                     continue;
                 }
-                const int64_t off = c->memo_off[memo];
-                const int32_t alen = c->memo_alen[memo];
-                const int32_t elen = c->memo_elen[memo];
+                /* candidates port-major in ports() order, then ascending
+                 * VC index, adaptive before escape (as _candidates) */
                 int32_t fa[ALLOC_SCRATCH], fe[ALLOC_SCRATCH];
                 int64_t na = 0, ne = 0;
-                for (int32_t j = 0; j < alen; ++j) {
-                    const int32_t f = c->cand_flat[off + j];
-                    if (owner[rowoff + f] < 0)
-                        fa[na++] = f;
+                for (int64_t p = 0; p < row[1]; ++p) {
+                    const int32_t vc0 = (int32_t)((cur * c->deg + row[2 + p]) * V);
+                    for (int32_t j = e[0]; j < e[0] + e[1]; ++j)
+                        if (owner[rowoff + vc0 + j] < 0)
+                            fa[na++] = vc0 + j;
                 }
-                for (int32_t j = 0; j < elen; ++j) {
-                    const int32_t f = c->cand_flat[off + alen + j];
-                    if (owner[rowoff + f] < 0)
-                        fe[ne++] = f;
+                for (int64_t p = 0; p < row[1]; ++p) {
+                    const int32_t vc0 = (int32_t)((cur * c->deg + row[2 + p]) * V);
+                    for (int32_t j = e[2]; j < e[2] + e[3]; ++j)
+                        if (owner[rowoff + vc0 + j] < 0)
+                            fe[ne++] = vc0 + j;
                 }
                 int64_t flat = -1;
                 if (c->policy == 0) { /* ADAPTIVE_FIRST */
@@ -681,7 +663,6 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                     vi < c->num_adaptive ? c->p_floor[mf] : vi - c->num_adaptive;
                 c->p_floor[mf] = fbase + (c->color[chan / c->deg] ? 1 : 0);
                 c->p_hops[mf] += 1;
-                c->msg_memo[mf] = -1; /* routing state advanced */
                 const int32_t nxt = c->neighbors[chan];
                 c->p_header[mf] = nxt;
                 const int32_t d = c->p_dist[mf] - 1;
@@ -771,10 +752,8 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
             if (nbx == 0x10001) { /* first flit crossed: header now ready */
                 const int64_t mf = r * cap + owner[x];
                 if (c->p_dist[mf] > 0) { /* next hop still to claim */
-                    const int64_t kk =
-                        (((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16)
-                        | ((int64_t)c->p_floor[mf] << 8) | c->p_hops[mf];
-                    c->msg_memo[mf] = (int32_t)memo_id(c, r, mf, kk);
+                    /* a raising callback sets cberr: the merge reports it */
+                    route_row(c, c->p_header[mf], c->p_dst[mf]);
                     c->need_slots[r * cap + c->need_n[r]] =
                         (int32_t)(mf - r * cap);
                     c->need_n[r] += 1;
@@ -952,7 +931,6 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
         }
         /* free the message slot (mirrors SimState.free_slot) */
         c->p_head_vc[mf] = -1;
-        c->msg_memo[mf] = -1;
         c->free_stack[r * cap + c->free_n[r]] = (int32_t)(mf - r * cap);
         c->free_n[r] += 1;
         /* swap-remove the drained ejection column */
@@ -1018,7 +996,7 @@ int64_t starnet_cycle(int64_t *P)
  * smallest instant, ties broken by the smallest node — exactly the
  * tuple order the heap-based engines produce.  Refill callbacks
  * re-enter Python (ctypes re-acquires the GIL). */
-static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
+static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
 {
     const int64_t N = c->N, GB = c->GB, cap = c->cap;
     const double fcycle = (double)cycle;
@@ -1057,14 +1035,11 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
             }
             const int32_t dst = c->dst_buf[rn * GB + dpos];
             c->dst_pos[rn] = dpos + 1;
-            /* distance (lazy table, dict-backed via the callback) */
-            int32_t dist = c->dist_tab[node * N + dst];
-            if (dist < 0) {
-                const int64_t dd = c->cb(2, node, dst);
-                if (dd < 0)
-                    return GEN_CBERR;
-                dist = (int32_t)dd;
-            }
+            /* distance, off route row (src, dst) */
+            const int8_t *row = route_row(c, node, dst);
+            if (!row)
+                return GEN_CBERR;
+            const int32_t dist = row[0];
             /* allocate the message slot (mirrors SimState.alloc_slot) */
             const int64_t fn2 = c->free_n[r] - 1;
             c->free_n[r] = fn2;
@@ -1081,7 +1056,6 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
             c->p_floor[mf] = 0;
             c->p_hops[mf] = 0;
             c->p_first[mf] = -1;
-            c->msg_memo[mf] = -1;
             c->generated[r] += 1;
             if (measured)
                 c->meas_generated[r] += 1;
@@ -1110,10 +1084,9 @@ static int gen_cycle(const Ctx *c, int64_t cycle, int *act_any)
 }
 
 /* Activation, the C twin of ArraySimulator._activate: ascending
- * (rep, node) order == sorted(set) order, so memo misses resolve (kind
- * 3) in the order _activate creates them.  Returns -1 once a callback
- * has raised, before the message is committed. */
-static int act_cycle(Ctx *c, int64_t *need_total)
+ * (rep, node) order == sorted(set) order.  A message entering injection
+ * sits at its source, whose route row generation already filled. */
+static void act_cycle(const Ctx *c, int64_t *need_total)
 {
     const int64_t N = c->N, cap = c->cap;
     for (int64_t r = 0; r < c->R; ++r) {
@@ -1125,13 +1098,6 @@ static int act_cycle(Ctx *c, int64_t *need_total)
             while (c->qlen[rn] && c->active_inj[rn] < c->slots) {
                 const int32_t s = c->qhead[rn];
                 const int64_t mf = r * cap + s;
-                /* a message entering injection has never routed:
-                 * floor == hops == 0 */
-                const int64_t mid = memo_id(
-                    c, r, mf, ((int64_t)c->p_header[mf] * N + c->p_dst[mf]) << 16);
-                if (mid < 0)
-                    return -1;
-                c->msg_memo[mf] = (int32_t)mid;
                 const int32_t nxt = c->qnext[r * cap + s];
                 c->qhead[rn] = nxt;
                 if (nxt < 0)
@@ -1148,7 +1114,6 @@ static int act_cycle(Ctx *c, int64_t *need_total)
             c->act[rn] = 0;
         }
     }
-    return 0;
 }
 
 int64_t starnet_run(int64_t *P)
@@ -1196,13 +1161,9 @@ int64_t starnet_run(int64_t *P)
         }
         if (act_any) {
             const int64_t tp = prof_now(c.prof);
-            const int a = act_cycle(&c, &need_total);
+            act_cycle(&c, &need_total);
             if (c.prof)
                 c.prof[1] += prof_now(c.prof) - tp;
-            if (a < 0) {
-                reason = RUN_CBERR;
-                goto out;
-            }
             act_any = 0;
         }
 

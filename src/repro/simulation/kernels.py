@@ -32,15 +32,14 @@ fallback.  Design choices shared by both paths:
   into a per-replication buffer the kernels consume in a deterministic
   order (shuffle first, then at most one draw per header).  The C path
   therefore never touches a bit generator.
-* **Memoized routing.**  The candidate VCs of a routing state (node,
-  destination, escape floor, hops) are resolved once in Python and
-  flattened into shared arrays; headers carry a memo id
-  (``state.msg_memo``) and the C kernel re-derives ids for headers
-  entering the pending list through an open-addressing hash mirrored
-  exactly by the Python inserts.  A hash miss calls back into Python,
-  which resolves the state on the spot; ids are assigned in the same
-  order on every path (activation in (rep, node) order, ready events
-  rep-major in ascending VC order).
+* **Routing as data.**  A header's candidate VCs are the product of two
+  tables: a packed route table ``route[cur * N + dst] = {dist, nports,
+  ports...}`` (int8, ``dist = -1`` until first asked for, then filled
+  by :meth:`ArraySimulator._fill_route`) and an eligibility-class table
+  built eagerly from :meth:`RoutingAlgorithm.eligible` over every
+  (remaining distance, colour, escape floor) — the paper's equations
+  (9)-(11).  Both kernels enumerate candidates port-major in
+  ``ports()`` order, then ascending VC index, adaptive before escape.
 * **Arbitration without a V cap.**  Round-robin winners come from a
   packed lookup table up to V = 15 and from an equivalent
   smallest-cyclic-offset scan (C) / argmin (numpy) beyond.
@@ -64,8 +63,8 @@ construction: when the whole cycle can run in C (compiled kernel
 present, stock floor arithmetic, block-safe workload),
 :meth:`ArraySimulator.run` hands the loop to ``starnet_run``, which also
 advances generation, activation, channel-load sampling and the
-watchdog.  Work Python must do inside a cycle — block refills, distance
-queries, memo misses, uniform-buffer refills — is a callback
+watchdog.  Work Python must do inside a cycle — block refills, route-row
+fills, uniform-buffer refills — is a callback
 (:meth:`ArraySimulator._cb_dispatch`); the loop returns only on stops,
 message-pool or ejection-row growth, the watchdog and errors, and a
 return costs O(1) Python work (the generation/activation mirrors are
@@ -108,10 +107,8 @@ _DO_ALLOC_SLOT = 33
 _CYCLE_SLOT = 34
 
 #: Slots a service callback may patch in the live parameter block when
-#: it regrows an array (the kernel re-reads them after the call): the
-#: memo tables (48-54, kind 3) and the uniform buffer (55-56, kind 4).
-_MEMO_SLOT = 48
-_UNIFORM_SLOT = 55
+#: it regrows the uniform buffer (kind 4; the kernel re-reads them).
+_UNIFORM_SLOT = 52
 
 #: On-stack free-VC scratch width of the C allocation loop; wider
 #: candidate sets (deg * V) keep allocation in Python.
@@ -120,13 +117,9 @@ _ALLOC_SCRATCH = 512
 #: Arrival-instant / destination block size per (replication, node).
 _GEN_BLOCK = 64
 
-#: Fibonacci multiplier of the memo hash (mirrored in _ckernel.c).
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-
-#: Widest topology for which the resident loop's N x N distance table
-#: is worth allocating; larger networks keep the per-cycle driver.
-_DIST_TABLE_MAX = 2048
+#: Largest network the array backend takes: the N x N route table
+#: grows quadratically (larger networks run on engine='object').
+_MAX_NODES = 2048
 
 #: starnet_run return reasons, one per return (mirrored in _ckernel.c).
 _RUN_STOP = 1
@@ -138,10 +131,17 @@ _RUN_ERR = 16
 #: Error bits of the per-cycle kernel's ``out_counts[4]``.
 _ERR_CALLBACK = 2
 
+#: What a kernel invariant failure (either C driver) can mean.
+_INVARIANT_CAUSES = (
+    "non-minimal route, unresolved route row, a routing state outside "
+    "the eligibility-class table, or a completed message still owning "
+    "channels"
+)
+
 #: Service callback signature of the C kernel: ``cb(kind, a, b)`` with
 #: kind 0 = arrival-block refill (rep, node), 1 = destination-block
-#: refill (rep, node), 2 = distance (src, dst), 3 = memo miss (rep,
-#: slot) -> memo id, 4 = uniform-buffer shortage (need_total, -).
+#: refill (rep, node), 2 = route row (cur, dst) -> distance, 4 =
+#: uniform-buffer shortage (need_total, -).
 _CB_TYPE = ctypes.CFUNCTYPE(
     ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64
 )
@@ -275,6 +275,14 @@ class ArraySimulator:
                 f"array backend supports buffer_depth <= {MAX_BUFFER_DEPTH} "
                 "(use engine='object')"
             )
+        if topology.num_nodes > _MAX_NODES or max(
+            topology.degree, topology.diameter()
+        ) > 127:
+            raise ConfigurationError(
+                f"array backend supports at most {_MAX_NODES} nodes with "
+                f"degree and diameter <= 127 (an int8 route table), got "
+                f"{topology.name} (use engine='object')"
+            )
 
         R = len(configs)
         N = topology.num_nodes
@@ -312,7 +320,16 @@ class ArraySimulator:
             topology.neighbor_table.ravel(), dtype=np.int32
         )
         self._neighbors_py = [int(x) for x in self._neighbors_np]
-        self._dist_memo: dict[int, int] = {}
+        #: Route table, one packed int8 row {dist, nports, ports...} per
+        #: (cur, dst) pair; dist = -1 until _fill_route resolves the row
+        #: (at generation for (src, dst), at a ready event for (cur, dst)).
+        self._route_state = MessageRouteState()
+        self._route_w = 2 + self._deg
+        self._route = np.full(N * N * self._route_w, -1, dtype=np.int8)
+        #: The numpy path's Python copy of filled rows, key cur*N + dst:
+        #: (dist, first flat VC of each port in ports() order).
+        self._vc0_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._build_class_table()
         # Round-robin arbitration state: up to _MAX_LUT_VCS the winner
         # comes from a packed lookup table; wider VC counts use the
         # cyclic-offset scan/argmin in both kernels.
@@ -336,20 +353,6 @@ class ArraySimulator:
         #: advance is the stock arithmetic and its on-stack scratch fits.
         self._c_alloc_ok = self._plain_floor and self._deg * V <= _ALLOC_SCRATCH
 
-        # -- routing memo (shared across replications) -------------------
-        self._memo_ids: dict[tuple, int] = {}
-        self._memo_pools: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._memo_cap = 256
-        self._memo_off = np.zeros(self._memo_cap, dtype=np.int64)
-        self._memo_alen = np.zeros(self._memo_cap, dtype=np.int32)
-        self._memo_elen = np.zeros(self._memo_cap, dtype=np.int32)
-        self._cand_cap = 1024
-        self._cand_flat = np.zeros(self._cand_cap, dtype=np.int32)
-        self._cand_len = 0
-        self._hash_log2 = 10
-        self._hash_keys = np.full(1 << self._hash_log2, -1, dtype=np.int64)
-        self._hash_vals = np.zeros(1 << self._hash_log2, dtype=np.int32)
-
         # -- per-replication random streams ------------------------------
         # Same (seed, name) keys as a single run with that seed, so each
         # replication's draws are a pure function of its own config.
@@ -367,6 +370,9 @@ class ArraySimulator:
         # check, _u_spend an upper bound on any row's consumption since.
         self._u_headroom = self._buf_cap
         self._u_spend = 0
+        #: Stateful spatial patterns (trace replay) opt out of block
+        #: buffering: their draw order across nodes is semantic.
+        self._dest_blocks = getattr(self.spatial, "block_safe", True)
         self._dest_rng = [
             [streams.dest(u) for u in range(N)] for streams in self._rngs
         ]
@@ -379,9 +385,6 @@ class ArraySimulator:
             ]
             for rep in range(R)
         ]
-        #: Stateful spatial patterns (trace replay) opt out of block
-        #: buffering: their draw order across nodes is semantic.
-        self._dest_blocks = getattr(self.spatial, "block_safe", True)
         # Generation state lives in flat arrays shared with the resident
         # C loop: pre-drawn arrival/destination blocks with cursors, the
         # next-arrival instant per node, and the linked-list source
@@ -428,12 +431,6 @@ class ArraySimulator:
         #: mirrors above; _sync_mirrors rebuilds them before Python next
         #: runs a cycle, so a return from C costs no O(R*N) work.
         self._mirrors_dirty = False
-        #: Node-to-node distances for the resident loop (-1 until the
-        #: refill callback copies them out of ``_dist_memo``).
-        if N <= _DIST_TABLE_MAX:
-            self._dist_tab = np.full((N, N), -1, dtype=np.int32)
-        else:
-            self._dist_tab = None
         #: Optional generation-event tap for the trace-diff harness:
         #: called with (rep, node, t, dst) per generated message.
         self._gen_hook = None
@@ -598,7 +595,6 @@ class ArraySimulator:
         self._hb_req = np.zeros((R, self._hb_max + 1), dtype=np.int64)
         self._hb_blk = np.zeros((R, self._hb_max + 1), dtype=np.int64)
         self._hb_wait = np.zeros((R, self._hb_max + 1), dtype=np.int64)
-        self._route_state = MessageRouteState()
         self._final: list[dict | None] = [None] * R
 
     # ------------------------------------------------------------------
@@ -619,7 +615,7 @@ class ArraySimulator:
         When the compiled kernel can run the whole cycle (stock floor
         arithmetic, no test seams, block-safe workload), the loop itself
         moves into C (``starnet_run``), which calls back for refills and
-        memo misses and returns only on stops, pool/ejection-row growth,
+        route-row fills and returns only on stops, pool/ejection-row growth,
         the watchdog and errors — same bits, a handful of returns per
         run instead of one ctypes crossing per cycle.
 
@@ -701,21 +697,25 @@ class ArraySimulator:
         return phases
 
     def _stop_rep(self, rep: int) -> None:
-        """Freeze one replication: no further traffic, samples or checks."""
-        self._sync_mirrors()
+        """Freeze one replication: no further traffic, samples or checks.
+
+        Dirty mirrors stay dirty: the next :meth:`_sync_mirrors` reads
+        the stop off ``_gen_next``, so a stop in the resident loop costs
+        no rebuild of every rep's mirrors.
+        """
         self._gen_next[rep] = math.inf
-        self._gen_next_list[rep] = math.inf
-        self._next_arrival = min(self._gen_next_list)
         self._active_np[rep] = 0
+        if not self._mirrors_dirty:
+            self._gen_next_list[rep] = math.inf
+            self._next_arrival = min(self._gen_next_list)
 
     def _resident_ok(self) -> bool:
         """May :meth:`run` hand the cycle loop to ``starnet_run``?
 
         Requires the compiled kernel with in-C allocation, no Python
-        seams (``_choose_vc``/``_gen_hook``), a block-safe workload and
-        a distance table; setting the ``_no_resident`` attribute (a
-        test seam) forces the per-cycle driver, which produces identical
-        bits.
+        seams (``_choose_vc``/``_gen_hook``) and a block-safe workload;
+        setting the ``_no_resident`` attribute (a test seam) forces the
+        per-cycle driver, which produces identical bits.
         """
         return (
             self._ck is not None
@@ -724,7 +724,6 @@ class ArraySimulator:
             and self._choose_vc is None
             and self._gen_hook is None
             and self._dest_blocks
-            and self._dist_tab is not None
             and not self._no_resident
         )
 
@@ -772,8 +771,7 @@ class ArraySimulator:
             if reason == _RUN_ERR:
                 raise SimulationError(
                     f"compiled cycle kernel invariant failure at cycle "
-                    f"{self.cycle} (non-minimal route, unresolved routing "
-                    "memo, or a completed message still owning channels)"
+                    f"{self.cycle} ({_INVARIANT_CAUSES})"
                 )
             if reason == _RUN_WATCHDOG:
                 rep = int(rs[5])
@@ -801,6 +799,7 @@ class ArraySimulator:
                         final[rep] = self._snapshot(rep)
                         self._stop_rep(rep)
                         remaining -= 1
+        self._sync_mirrors()
         return [self._result(rep) for rep in range(R)]
 
     def step(self) -> None:
@@ -994,41 +993,31 @@ class ArraySimulator:
         """The C kernel's service callback (ctypes re-acquires the GIL).
 
         kind 0/1 refill one node's arrival/destination block, kind 2
-        answers a distance query (memoized, and copied into the dense
-        table so the C loop never asks twice), kind 3 resolves a memo
-        miss of header (rep a, slot b) and returns its id, kind 4
+        fills route row (cur a, dst b) and returns its distance, kind 4
         refills the uniform buffer for ``need_total`` = a and re-bases
-        the loop's gate.  Kinds 3 and 4 patch the live parameter block
-        when they regrow an array.  Exceptions can't cross the C frame:
-        the first is stashed for the driver to re-raise
+        the loop's gate (patching the live parameter block when it
+        widens the buffer).  Exceptions can't cross the C frame: the
+        first is stashed for the driver to re-raise
         (:meth:`_raise_cb_exc`) and signalled to C as -1.
         """
         self._n_callbacks += 1
         try:
-            if kind == 3:
-                return self._resolve_memo(a, b)
             if kind == 0:
                 self._refill_arr(a, b)
                 return 0
             if kind == 1:
                 self._refill_dst(a, b)
                 return 0
-            if kind == 4:
-                gate = self._c_ugate
-                self._u_headroom = int(gate[0])
-                self._u_spend = int(gate[1])
-                self._need_total = a
-                self._ensure_uniforms()
-                gate[0] = self._u_headroom
-                gate[1] = self._u_spend
-                return 0
-            key = a * self.state.num_nodes + b
-            dist = self._dist_memo.get(key)
-            if dist is None:
-                dist = self.topology.distance(a, b)
-                self._dist_memo[key] = dist
-            self._dist_tab[a, b] = dist
-            return dist
+            if kind == 2:
+                return self._fill_route(a, b)
+            gate = self._c_ugate
+            self._u_headroom = int(gate[0])
+            self._u_spend = int(gate[1])
+            self._need_total = a
+            self._ensure_uniforms()
+            gate[0] = self._u_headroom
+            gate[1] = self._u_spend
+            return 0
         except BaseException as exc:  # noqa: BLE001 — crossing a C frame
             if self._cb_exc is None:
                 self._cb_exc = exc
@@ -1066,14 +1055,12 @@ class ArraySimulator:
     def _generate(self, cycle: int) -> None:
         st = self.state
         N = st.num_nodes
-        dist_memo = self._dist_memo
-        dist_tab = self._dist_tab
         gen_next = self._gen_next
         gnl = self._gen_next_list
         fcycle = float(cycle)
         cap = self._msg_cap
         (f_tgen, f_src, f_ejd, f_meas, f_dst, f_hdr, f_dist, f_flr,
-         f_hops, f_fa, f_memo, f_qnext) = self._flatc
+         f_hops, f_fa, f_qnext) = self._flatc
         f_qhead = self._f_qhead
         f_qtail = self._f_qtail
         f_qlen = self._f_qlen
@@ -1100,19 +1087,13 @@ class ArraySimulator:
                     break
                 heapq.heappop(heap)
                 dst = self._next_dest(rep, node)
-                key = node * N + dst
-                dist = dist_memo.get(key)
-                if dist is None:
-                    dist = self.topology.distance(node, dst)
-                    dist_memo[key] = dist
-                if dist_tab is not None:
-                    dist_tab[node, dst] = dist
+                dist = self._route_dist(node, dst)
                 s = st.alloc_slot(rep)
                 if cap != st.capacity:
                     self._sync_msg_cap()  # pool grew: views reallocated
                     cap = self._msg_cap
                     (f_tgen, f_src, f_ejd, f_meas, f_dst, f_hdr, f_dist,
-                     f_flr, f_hops, f_fa, f_memo, f_qnext) = self._flatc
+                     f_flr, f_hops, f_fa, f_qnext) = self._flatc
                     mb = rep * cap
                 i = mb + s
                 f_tgen[i] = t
@@ -1126,7 +1107,6 @@ class ArraySimulator:
                 f_flr[i] = 0
                 f_hops[i] = 0
                 f_fa[i] = -1
-                f_memo[i] = -1
                 g += 1
                 if measured:
                     mg += 1
@@ -1169,9 +1149,7 @@ class ArraySimulator:
         slots = self._slots
         flatc = self._flatc
         f_meas = flatc[3]
-        f_dst = flatc[4]
-        f_memo = flatc[10]
-        f_qnext = flatc[11]
+        f_qnext = flatc[10]
         f_qhead = self._f_qhead
         f_qtail = self._f_qtail
         f_qlen = self._f_qlen
@@ -1179,7 +1157,6 @@ class ArraySimulator:
         f_ai = self._f_ai
         f_need_slots = self._f_need_slots
         need_n = self._need_n
-        memo_ids = self._memo_ids
         total_new = 0
         # The set mirrors the bitmap's nonzero coords, so sorted order
         # == the bitmap's row-major order (what the C loop walks).
@@ -1201,14 +1178,7 @@ class ArraySimulator:
                     popped += 1
                     if f_meas[i]:
                         mcount += 1
-                    # A message entering injection has never routed, so
-                    # its memo key is always (src, dst, floor=0, hops=0)
-                    # — same id-assignment order as _queue_need.
-                    key = (node, int(f_dst[i]), 0, 0)
-                    mid = memo_ids.get(key)
-                    if mid is None:
-                        mid = self._new_memo(key)
-                    f_memo[i] = mid
+                    # Route row (src, dst) was filled at generation.
                     f_need_slots[mb + nn] = s
                     nn += 1
                 f_qhead[k] = head
@@ -1228,150 +1198,117 @@ class ArraySimulator:
         self._act_any = False
 
     # ------------------------------------------------------------------
-    # Routing memo (candidate tables shared by both kernels)
+    # Routing tables (shared by both kernels)
     # ------------------------------------------------------------------
 
+    def _build_class_table(self) -> None:
+        """Tabulate ``algorithm.eligible`` over its whole domain.
+
+        One int32 entry ``{a_lo, a_n, e_lo, e_n}`` (contiguous adaptive
+        and escape VC-index ranges) per (remaining distance 1..diameter,
+        colour of the current node, escape floor 0..num_escape-1), at
+        ``((d - 1) * 2 + colour) * num_escape + floor``.  States that
+        ``eligible()`` rejects are stored as -1 rows: the floor invariant
+        makes them unreachable, so meeting one is an invariant failure.
+        Exact because ``eligible()`` reads nothing else (its contract).
+        """
+        cfg = self.vc_config
+        diameter = self.topology.diameter()
+        num_escape = cfg.num_escape
+        table = np.full((diameter, 2, num_escape, 4), -1, dtype=np.int32)
+        state = self._route_state
+        state.hops_taken = state.negative_hops = 0
+        for d in range(1, diameter + 1):
+            for colour in (0, 1):
+                for floor in range(num_escape):
+                    state.escape_floor = floor
+                    try:
+                        es = self.algorithm.eligible(cfg, d, colour == 1, state)
+                    except ConfigurationError:
+                        continue
+                    for r in (es.adaptive, es.escape):
+                        if len(r) > 1 and r.step != 1:
+                            raise ConfigurationError(
+                                f"{self.algorithm.name}: the array backend "
+                                f"needs contiguous eligible ranges, got {r} "
+                                "(use engine='object')"
+                            )
+                    table[d - 1, colour, floor] = (
+                        es.adaptive.start,
+                        len(es.adaptive),
+                        es.escape.start,
+                        len(es.escape),
+                    )
+        self._cls = table.reshape(-1, 4)
+        self._cls_py = [
+            None if a_n < 0 else (range(a_lo, a_lo + a_n), range(e_lo, e_lo + e_n))
+            for a_lo, a_n, e_lo, e_n in self._cls.tolist()
+        ]
+        self._cls_d = diameter
+
+    def _fill_route(self, cur: int, dst: int) -> int:
+        """Resolve route row (cur, dst) — distance and ports — and
+        return the distance (the kind-2 callback lands here too)."""
+        ports = self.algorithm.ports(self.topology, cur, dst)
+        dist = self.topology.distance(cur, dst)
+        off = (cur * self.state.num_nodes + dst) * self._route_w
+        row = self._route
+        row[off + 1] = len(ports)
+        row[off + 2 : off + 2 + len(ports)] = ports
+        row[off] = dist
+        return dist
+
+    def _route_dist(self, cur: int, dst: int) -> int:
+        """Distance off route row (cur, dst), filling the row if needed."""
+        dist = int(self._route[(cur * self.state.num_nodes + dst) * self._route_w])
+        return dist if dist >= 0 else self._fill_route(cur, dst)
+
     def _queue_need(self, rep: int, slot: int) -> None:
-        """Append a header to the pending list, memo resolved."""
+        """Append a ready header to the pending list, its route row
+        (cur, dst) resolved — the numpy twin of the C ready event."""
         st = self.state
-        if st.msg_memo[rep, slot] < 0:
-            self._resolve_memo(rep, slot)
+        self._route_dist(int(st.p_header[rep, slot]), int(st.p_dst[rep, slot]))
         n = self._need_n[rep]
         self._need_slots[rep, n] = slot
         self._need_n[rep] = n + 1
         self._need_total += 1
 
-    def _resolve_memo(self, rep: int, slot: int) -> int:
-        """Assign (and return) the memo id of the header's routing state."""
-        st = self.state
-        key = (
-            int(st.p_header[rep, slot]),
-            int(st.p_dst[rep, slot]),
-            int(st.p_floor[rep, slot]),
-            int(st.p_hops[rep, slot]),
-        )
-        mid = self._memo_ids.get(key)
-        if mid is None:
-            mid = self._new_memo(key)
-        st.msg_memo[rep, slot] = mid
-        return mid
+    def _candidates(
+        self, cur: int, dst: int, floor: int
+    ) -> tuple[tuple[int, ...], range, range]:
+        """Candidate VCs of a header at ``cur`` bound for ``dst``: the
+        first flat VC of each profitable port (in ``ports()`` order) and
+        the adaptive and escape VC-index ranges, so ``base + j`` over
+        ports, then indices, enumerates the C kernel's order.
 
-    def _new_memo(self, key: tuple) -> int:
-        """Resolve a routing state's candidate VCs and publish the memo.
-
-        A pure function of (current node, destination, escape floor, hops
-        taken) — the routing queries behind it (ports × eligible classes)
-        cost far more than the table lookups that replace them.
+        Reads Python copies of the tables (``_cls_py`` and the row
+        cache ``_vc0_rows``), since blocked headers retry every cycle.
         """
-        cur, dst, floor, hops = key
-        N = self.state.num_nodes
-        ports = self.algorithm.ports(self.topology, cur, dst)
-        hop_negative = self._color_py[cur] == 1
-        nkey = cur * N + dst
-        d_rem = self._dist_memo.get(nkey)
-        if d_rem is None:
-            d_rem = self.topology.distance(cur, dst)
-            self._dist_memo[nkey] = d_rem
-        state = self._route_state
-        state.escape_floor = floor
-        state.hops_taken = hops
-        state.negative_hops = 0
-        es = self.algorithm.eligible(self.vc_config, d_rem, hop_negative, state)
-        V = self._V
-        base0 = cur * self._deg
-        adaptive = tuple(
-            (base0 + port) * V + idx for port in ports for idx in es.adaptive
-        )
-        escape = tuple(
-            (base0 + port) * V + idx for port in ports for idx in es.escape
-        )
-        mid = len(self._memo_pools)
-        self._memo_pools.append((adaptive, escape))
-        self._memo_ids[key] = mid
-        # Flattened mirror for the C kernel (amortized-append arrays).
-        total = len(adaptive) + len(escape)
-        if mid >= self._memo_cap:
-            self._memo_cap *= 2
-            for name in ("_memo_off", "_memo_alen", "_memo_elen"):
-                old = getattr(self, name)
-                wide = np.zeros(self._memo_cap, dtype=old.dtype)
-                wide[: old.size] = old
-                setattr(self, name, wide)
-            self._patch_memo_slots()
-        if self._cand_len + total > self._cand_cap:
-            while self._cand_len + total > self._cand_cap:
-                self._cand_cap *= 2
-            wide = np.zeros(self._cand_cap, dtype=np.int32)
-            wide[: self._cand_len] = self._cand_flat[: self._cand_len]
-            self._cand_flat = wide
-            self._patch_memo_slots()
-        off = self._cand_len
-        self._memo_off[mid] = off
-        self._memo_alen[mid] = len(adaptive)
-        self._memo_elen[mid] = len(escape)
-        if adaptive:
-            self._cand_flat[off : off + len(adaptive)] = adaptive
-        if escape:
-            self._cand_flat[off + len(adaptive) : off + total] = escape
-        self._cand_len = off + total
-        # Hash mirror for the C kernel's ready-event probes.  States
-        # whose fields overflow the packed key stay dict-only: the C
-        # probe then misses and Python resolves — a miss is safe, a
-        # colliding entry would not be.
-        if 0 <= floor <= 0xFF and 0 <= hops <= 0xFF and nkey < (1 << 47):
-            self._hash_insert((nkey << 16) | (floor << 8) | hops, mid)
-        return mid
-
-    def _hash_insert(self, kk: int, mid: int) -> None:
-        if 2 * len(self._memo_pools) >= self._hash_keys.size:
-            self._hash_grow()
-        keys = self._hash_keys
-        mask = keys.size - 1
-        h = ((kk * _GOLDEN) & _MASK64) >> (64 - self._hash_log2)
-        while keys[h] != -1:
-            h = (h + 1) & mask
-        keys[h] = kk
-        self._hash_vals[h] = mid
-
-    def _hash_grow(self) -> None:
-        self._hash_log2 += 1
-        size = 1 << self._hash_log2
-        self._hash_keys = np.full(size, -1, dtype=np.int64)
-        self._hash_vals = np.zeros(size, dtype=np.int32)
-        keys = self._hash_keys
-        vals = self._hash_vals
-        mask = size - 1
-        shift = 64 - self._hash_log2
-        N = self.state.num_nodes
-        for (cur, dst, floor, hops), mid in self._memo_ids.items():
-            nkey = cur * N + dst
-            if not (0 <= floor <= 0xFF and 0 <= hops <= 0xFF and nkey < (1 << 47)):
-                continue
-            kk = (nkey << 16) | (floor << 8) | hops
-            h = ((kk * _GOLDEN) & _MASK64) >> shift
-            while keys[h] != -1:
-                h = (h + 1) & mask
-            keys[h] = kk
-            vals[h] = mid
-        self._patch_memo_slots()
-
-    def _patch_memo_slots(self) -> None:
-        """Point the parameter block at regrown memo tables (slots 48-54).
-
-        Patched in place — the kernel may be mid-call (a kind-3
-        callback) and re-reads these slots when the callback returns.
-        """
-        params = self._c_params
-        if params is not None:
-            params[_MEMO_SLOT : _MEMO_SLOT + 7] = (
-                self._cand_flat.ctypes.data,
-                self._memo_off.ctypes.data,
-                self._memo_alen.ctypes.data,
-                self._memo_elen.ctypes.data,
-                self._hash_keys.ctypes.data,
-                self._hash_vals.ctypes.data,
-                self._hash_log2,
+        key = cur * self.state.num_nodes + dst
+        row = self._vc0_rows.get(key)
+        if row is None:
+            off = key * self._route_w
+            dist, nports = self._route[off : off + 2].tolist()
+            base = cur * self._deg
+            vc0s = tuple(
+                (base + p) * self._V
+                for p in self._route[off + 2 : off + 2 + nports].tolist()
             )
+            row = (dist, vc0s)
+            if dist >= 0:
+                self._vc0_rows[key] = row
+        dist, vc0s = row
+        num_escape = self.vc_config.num_escape
+        entry = None
+        if 1 <= dist <= self._cls_d and 0 <= floor < num_escape:
+            k = ((dist - 1) * 2 + self._color_py[cur]) * num_escape + floor
+            entry = self._cls_py[k]
+        if entry is None:
+            raise SimulationError(
+                f"pending header at node {cur} for {dst} without a route "
+                f"row or eligibility class: {dist} hops left, floor {floor}"
+            )
+        return vc0s, entry[0], entry[1]
 
     # ------------------------------------------------------------------
     # Phase 2 — virtual-channel allocation (Python/numpy fallback)
@@ -1427,7 +1364,6 @@ class ArraySimulator:
         policy = self._policy_code
         owner = st.owner_flat
         CV = self._CV
-        pools = self._memo_pools
         hb_max = self._hb_max
         chooser = self._choose_vc
         for rep in range(self._R):
@@ -1445,21 +1381,20 @@ class ArraySimulator:
                     order[i], order[j] = order[j], order[i]
             keep = 0
             rowoff = rep * CV
-            memo_row = st.msg_memo[rep]
             first = st.p_first_attempt[rep]
+            hdr_row = st.p_header[rep]
+            dst_row = st.p_dst[rep]
+            floor_row = st.p_floor[rep]
             hops_row = st.p_hops[rep]
             meas = st.msg_measured[rep]
             for s in order:
                 if first[s] < 0:
                     first[s] = cycle
-                mid = int(memo_row[s])
-                if mid < 0:
-                    raise SimulationError(
-                        "pending header without a resolved routing memo"
-                    )
-                a, e = pools[mid]
-                fa = [f for f in a if owner[rowoff + f] < 0]
-                fe = [f for f in e if owner[rowoff + f] < 0]
+                vc0s, a_vcs, e_vcs = self._candidates(
+                    hdr_row.item(s), dst_row.item(s), floor_row.item(s)
+                )
+                fa = [b + j for b in vc0s for j in a_vcs if owner[rowoff + b + j] < 0]
+                fe = [b + j for b in vc0s for j in e_vcs if owner[rowoff + b + j] < 0]
                 flat = -1
                 if chooser is not None:  # test seam replaces the policy
                     picked = chooser(rep, s)
@@ -1563,7 +1498,6 @@ class ArraySimulator:
             self.algorithm.advance_floor(self.vc_config, state, v_index, hop_negative)
             st.p_floor[rep, slot] = state.escape_floor
             st.p_hops[rep, slot] = state.hops_taken
-        st.msg_memo[rep, slot] = -1  # routing state advanced
         nxt = self._neighbors_py[chan]
         st.p_header[rep, slot] = nxt
         d = int(st.p_dist[rep, slot]) - 1
@@ -1633,9 +1567,8 @@ class ArraySimulator:
         bdf[flat] += 0x10001  # buffered += 1, delivered += 1
         availf[flat] -= 1
         # First flit across a newly acquired channel: its owner's header
-        # is ready for the next hop — re-queue it for allocation.  The
-        # ascending-index order here matches the C kernel's enumeration,
-        # so memo ids are assigned in the same order on both paths.
+        # is ready for the next hop — re-queue it for allocation, in the
+        # C kernel's ascending-index order.
         nready = flat[bdf[flat] == 0x10001]
         if nready.size:
             CV = self._CV
@@ -1755,7 +1688,6 @@ class ArraySimulator:
             st.p_floor.ravel(),
             st.p_hops.ravel(),
             st.p_first_attempt.ravel(),
-            st.msg_memo.ravel(),
             self._qnext.ravel(),
         )
         self._f_need_slots = self._need_slots.ravel()
@@ -1874,10 +1806,11 @@ class ArraySimulator:
 
         Called whenever an array the kernel touches may have been
         reallocated outside a kernel call: the message pool grew or the
-        ejection columns doubled.  (Memo-table, hash and uniform-buffer
-        growth patch their slots in place instead — they can happen
-        inside a callback.)  Slot layout documented in _ckernel.c — the
-        indices here must match it exactly.
+        ejection columns doubled.  (Uniform-buffer growth patches its
+        slots in place instead — it can happen inside a callback; the
+        route table never moves, its rows fill in place.)  Slot layout
+        documented in _ckernel.c — the indices here must match it
+        exactly.
         """
         st = self.state
         rows = self._ej_cap_rows
@@ -1945,81 +1878,77 @@ class ArraySimulator:
                 st.p_hops.ctypes.data,  # 44
                 st.p_first_attempt.ctypes.data,  # 45
                 st.p_head_vc.ctypes.data,  # 46
-                st.msg_memo.ctypes.data,  # 47
-                self._cand_flat.ctypes.data,  # 48
-                self._memo_off.ctypes.data,  # 49
-                self._memo_alen.ctypes.data,  # 50
-                self._memo_elen.ctypes.data,  # 51
-                self._hash_keys.ctypes.data,  # 52
-                self._hash_vals.ctypes.data,  # 53
-                self._hash_log2,  # 54
-                self._alloc_buf.ctypes.data,  # 55
-                self._buf_cap,  # 56
-                self._alloc_pos.ctypes.data,  # 57
-                self._neighbors_np.ctypes.data,  # 58
-                self._color_np.ctypes.data,  # 59
-                st.msg_measured.ctypes.data,  # 60
-                st.msg_t_inject.ctypes.data,  # 61
-                self.alloc_attempts.ctypes.data,  # 62
-                self.alloc_failures.ctypes.data,  # 63
-                self._injected.ctypes.data,  # 64
-                self._hb_req.ctypes.data,  # 65
-                self._hb_blk.ctypes.data,  # 66
-                self._hb_wait.ctypes.data,  # 67
-                self._hb_max,  # 68
-                st.msg_t_gen.ctypes.data,  # 69
-                self._in_flight.ctypes.data,  # 70
-                self._measured_in_flight.ctypes.data,  # 71
-                self._completed.ctypes.data,  # 72
-                st.free_stack.ctypes.data,  # 73
-                st.free_n.ctypes.data,  # 74
-                self._lat_sum.ctypes.data,  # 75
-                self._net_sum.ctypes.data,  # 76
-                self._srcw_sum.ctypes.data,  # 77
-                self._mcount.ctypes.data,  # 78
-                self._lat_bsum.ctypes.data,  # 79
-                self._lat_bcount.ctypes.data,  # 80
-                self._w_t0.ctypes.data,  # 81
-                self._w_width.ctypes.data,  # 82
-                self._w_batches.ctypes.data,  # 83
-                self._Bmax,  # 84
-                self._c_tstage.ctypes.data,  # 85
-                self._gen_node_t.ctypes.data,  # 86
-                self._gen_next.ctypes.data,  # 87
-                self._arr_buf.ctypes.data,  # 88
-                self._arr_pos.ctypes.data,  # 89
-                self._arr_len.ctypes.data,  # 90
-                self._dst_buf.ctypes.data,  # 91
-                self._dst_pos.ctypes.data,  # 92
-                self._dst_len.ctypes.data,  # 93
-                _GEN_BLOCK,  # 94
-                self._qnext.ctypes.data,  # 95
-                self._qhead.ctypes.data,  # 96
-                self._qtail.ctypes.data,  # 97
-                self._qlen.ctypes.data,  # 98
-                self._act.ctypes.data,  # 99
-                0 if self._dist_tab is None else self._dist_tab.ctypes.data,  # 100
-                self._c_cb_ptr,  # 101
-                self._generated.ctypes.data,  # 102
-                self._measured_generated.ctypes.data,  # 103
-                self._warm_np.ctypes.data,  # 104
-                self._horizon_np.ctypes.data,  # 105
-                self._end_np.ctypes.data,  # 106
-                self._active_np.ctypes.data,  # 107
-                self._slots,  # 108
-                grace,  # 109
-                self._progress_marks.ctypes.data,  # 110
-                self._last_progress.ctypes.data,  # 111
-                self.config.sample_interval,  # 112
-                self._c_ugate.ctypes.data,  # 113
-                self._ej_cap_rows,  # 114
-                self._c_rs.ctypes.data,  # 115
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 116
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 117
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 118
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 119
-                self._probe_int or 0,  # 120
-                st.probe_capacity,  # 121
+                self._route.ctypes.data,  # 47
+                self._route_w,  # 48
+                self._cls.ctypes.data,  # 49
+                self._cls_d,  # 50
+                self.vc_config.num_escape,  # 51
+                self._alloc_buf.ctypes.data,  # 52
+                self._buf_cap,  # 53
+                self._alloc_pos.ctypes.data,  # 54
+                self._neighbors_np.ctypes.data,  # 55
+                self._color_np.ctypes.data,  # 56
+                st.msg_measured.ctypes.data,  # 57
+                st.msg_t_inject.ctypes.data,  # 58
+                self.alloc_attempts.ctypes.data,  # 59
+                self.alloc_failures.ctypes.data,  # 60
+                self._injected.ctypes.data,  # 61
+                self._hb_req.ctypes.data,  # 62
+                self._hb_blk.ctypes.data,  # 63
+                self._hb_wait.ctypes.data,  # 64
+                self._hb_max,  # 65
+                st.msg_t_gen.ctypes.data,  # 66
+                self._in_flight.ctypes.data,  # 67
+                self._measured_in_flight.ctypes.data,  # 68
+                self._completed.ctypes.data,  # 69
+                st.free_stack.ctypes.data,  # 70
+                st.free_n.ctypes.data,  # 71
+                self._lat_sum.ctypes.data,  # 72
+                self._net_sum.ctypes.data,  # 73
+                self._srcw_sum.ctypes.data,  # 74
+                self._mcount.ctypes.data,  # 75
+                self._lat_bsum.ctypes.data,  # 76
+                self._lat_bcount.ctypes.data,  # 77
+                self._w_t0.ctypes.data,  # 78
+                self._w_width.ctypes.data,  # 79
+                self._w_batches.ctypes.data,  # 80
+                self._Bmax,  # 81
+                self._c_tstage.ctypes.data,  # 82
+                self._gen_node_t.ctypes.data,  # 83
+                self._gen_next.ctypes.data,  # 84
+                self._arr_buf.ctypes.data,  # 85
+                self._arr_pos.ctypes.data,  # 86
+                self._arr_len.ctypes.data,  # 87
+                self._dst_buf.ctypes.data,  # 88
+                self._dst_pos.ctypes.data,  # 89
+                self._dst_len.ctypes.data,  # 90
+                _GEN_BLOCK,  # 91
+                self._qnext.ctypes.data,  # 92
+                self._qhead.ctypes.data,  # 93
+                self._qtail.ctypes.data,  # 94
+                self._qlen.ctypes.data,  # 95
+                self._act.ctypes.data,  # 96
+                self._c_cb_ptr,  # 97
+                self._generated.ctypes.data,  # 98
+                self._measured_generated.ctypes.data,  # 99
+                self._warm_np.ctypes.data,  # 100
+                self._horizon_np.ctypes.data,  # 101
+                self._end_np.ctypes.data,  # 102
+                self._active_np.ctypes.data,  # 103
+                self._slots,  # 104
+                grace,  # 105
+                self._progress_marks.ctypes.data,  # 106
+                self._last_progress.ctypes.data,  # 107
+                self.config.sample_interval,  # 108
+                self._c_ugate.ctypes.data,  # 109
+                self._ej_cap_rows,  # 110
+                self._c_rs.ctypes.data,  # 111
+                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 112
+                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 113
+                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 114
+                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 115
+                self._probe_int or 0,  # 116
+                st.probe_capacity,  # 117
             ],
             dtype=np.int64,
         )
@@ -2031,8 +1960,8 @@ class ArraySimulator:
         """Run allocation + transfer + ejection through the compiled kernel.
 
         Completion bookkeeping (latency sums, slot recycling, ejection-
-        column removal) happens inside the kernel too, and memo misses
-        of ready headers resolve through the kind-3 callback, so the
+        column removal) happens inside the kernel too, and unresolved
+        route rows of ready headers fill through the kind-2 callback, so the
         common steady-state cycle is one ctypes call plus a handful of
         scalar reads here.
         """
@@ -2064,8 +1993,7 @@ class ArraySimulator:
                 self._raise_cb_exc()
             raise SimulationError(
                 f"compiled cycle kernel invariant failure at cycle {cycle} "
-                "(non-minimal route, unresolved routing memo, or a "
-                "completed message still owning channels)"
+                f"({_INVARIANT_CAUSES})"
             )
         self._busy_vcs += out[1]
         self._ejecting_count = out[5]

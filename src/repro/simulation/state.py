@@ -26,8 +26,9 @@ Hot-path layout choices (benchmarked on the S4 batch workload):
   cap)`` int32 array.  The compiled megakernel runs the allocation loop
   directly on these buffers; the numpy fallback reads them the same way,
   so there is exactly one copy of each fact (the old Python-list mirrors
-  are gone).  ``msg_memo`` caches each in-flight header's routing-memo
-  id so repeated allocation attempts skip candidate recomputation.
+  are gone).  A header's candidate VCs are not stored per message: the
+  kernels derive them from (``p_header``, ``p_dst``, ``p_floor``) through
+  the simulator's route and eligibility-class tables.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class SimState:
         self.p_hops = np.zeros((R, cap), dtype=np.int32)
         self.p_first_attempt = np.full((R, cap), -1, dtype=np.int32)
         self.p_head_vc = np.full((R, cap), -1, dtype=np.int32)
-        #: Routing-memo id of the header's current (node, dst, floor,
-        #: hops) state; -1 until first resolved by the slow path.
-        self.msg_memo = np.full((R, cap), -1, dtype=np.int32)
 
         #: Per-replication free-slot stacks (stack top hands out low ids
         #: first); arrays rather than lists so the compiled megakernel
@@ -131,14 +129,14 @@ class SimState:
         self.free_n = np.full(R, cap, dtype=np.int64)
 
         #: Phase-profiling accumulators (nanoseconds), the side array
-        #: next to the kernel param block (slot 118): {generation,
+        #: next to the kernel param block: {generation,
         #: activation, route, complete, reserved, total, reserved,
         #: reserved}.  Always allocated (64 bytes) but only written when
         #: ``ArraySimulator(profile=True)`` hands its pointer to the
         #: kernel / the per-cycle driver; see docs/observability.md.
         self.phase_ns = np.zeros(8, dtype=np.int64)
 
-        #: Time-series probe ring buffers (param-block slots 119-123),
+        #: Time-series probe ring buffers (param-block slots 113-115),
         #: unallocated until ``alloc_probes`` — probing is opt-in
         #: (``ArraySimulator(probe_interval=k)``) and the kernel sees a
         #: NULL data pointer otherwise, the same zero-overhead contract
@@ -185,7 +183,6 @@ class SimState:
     def free_slot(self, rep: int, slot: int) -> None:
         """Return a completed message's slot to the pool."""
         self.p_head_vc[rep, slot] = -1
-        self.msg_memo[rep, slot] = -1
         n = self.free_n[rep]
         self.free_stack[rep, n] = slot
         self.free_n[rep] = n + 1
@@ -209,7 +206,6 @@ class SimState:
             ("p_hops", 0),
             ("p_first_attempt", -1),
             ("p_head_vc", -1),
-            ("msg_memo", -1),
         ):
             arr = getattr(self, name)
             wide = np.empty((R, new), dtype=arr.dtype)

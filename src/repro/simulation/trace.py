@@ -51,7 +51,6 @@ _STATE_FIELDS = (
     "p_hops",
     "p_first_attempt",
     "p_head_vc",
-    "msg_memo",
 )
 
 #: Simulator-side accumulator arrays hashed in full.  The generation
@@ -127,7 +126,7 @@ def run_digests(sim: ArraySimulator, cycles: int) -> list[str]:
     """Step ``cycles`` times, returning the post-cycle digest of each.
 
     The digest is taken after the *complete* cycle — compiled kernel
-    call plus any Python post-processing (memo resolution, activation
+    call plus any Python post-processing (route-row fills, activation
     bookkeeping) — which is exactly the boundary at which the numpy and
     C paths promise bit-identical state.
     """

@@ -1,12 +1,12 @@
 """The resident C loop on S5: parity, residency and callback failures.
 
-``starnet_run`` services memo misses (callback kind 3) and uniform-
+``starnet_run`` services route-row fills (callback kind 2) and uniform-
 buffer shortages (kind 4) inside the loop and samples channel load in
 C, so on the paper's 120-node star it returns to Python only for stops
 and message-pool/ejection-row growth.  These tests pin that contract
 with the driver's own event counters, check that the three array paths
 (resident loop, per-cycle C driver, numpy passes) still end in the same
-bits, and that a Python exception raised inside a kind-3 callback
+bits, and that a Python exception raised inside a route-row callback
 surfaces unchanged from both C drivers without pinning the simulator.
 """
 
@@ -70,7 +70,7 @@ class TestS5Residency:
                 sim._ck_bundle = None
                 sim._ck = None
             cap0, rows0 = sim.state.capacity, sim._ej_cap_rows
-            misses = _counting(sim, "_resolve_memo")
+            fills = _counting(sim, "_fill_route")
             refills = _counting(sim, "_ensure_uniforms")
             results = sim.run()
             out[path] = {
@@ -79,7 +79,7 @@ class TestS5Residency:
                 "profile": sim.phase_profile(),
                 "growths": (sim.state.capacity // cap0).bit_length() - 1
                 + (sim._ej_cap_rows // rows0).bit_length() - 1,
-                "misses": misses[0],
+                "fills": fills[0],
                 "refills": refills[0],
             }
         return out
@@ -96,9 +96,9 @@ class TestS5Residency:
     def test_returns_only_for_stops_and_growth(self, runs):
         run = runs["resident"]
         prof = run["profile"]
-        # Memo misses and uniform refills really happened, as callbacks.
-        assert run["misses"] > 100 and run["refills"] > 0
-        assert prof["callbacks"] >= run["misses"]
+        # Route-row fills and uniform refills really happened, as callbacks.
+        assert run["fills"] > 100 and run["refills"] > 0
+        assert prof["callbacks"] >= run["fills"]
         # Every punt grows the message pool or the ejection rows (each
         # growth doubles), and every other return stops a replication.
         assert prof["punts"] <= run["growths"]
@@ -107,7 +107,7 @@ class TestS5Residency:
     def test_per_cycle_driver_never_returns_from_the_loop(self, runs):
         prof = runs["per_cycle"]["profile"]
         assert prof["returns"] == prof["punts"] == 0
-        assert prof["callbacks"] > 0  # ready-event memo misses
+        assert prof["callbacks"] > 0  # ready-event route-row fills
 
 
 class Boom(RuntimeError):
@@ -139,7 +139,9 @@ def _raise_in_callback(algorithm, after):
 @needs_kernel
 class TestCallbackExceptions:
     @pytest.mark.parametrize("no_resident", [False, True], ids=["resident", "per_cycle"])
-    def test_kind3_exception_propagates_and_frees_sim(self, star4, no_resident):
+    def test_kind2_exception_propagates_and_frees_sim(
+        self, star4, no_resident
+    ):
         algorithm = EnhancedNbc()
         sim = ArraySimulator(
             star4, algorithm, s5_config(generation_rate=0.01), seeds=SEEDS
