@@ -93,9 +93,9 @@ _WATCH_ROWS = 16
 
 _PHASES = ("generation", "activation", "route", "complete", "other")
 
-#: Driver event counts of ``ArraySimulator.phase_profile`` (resident-loop
-#: returns, cycles punted to Python, callbacks into Python).
-_EVENTS = ("returns", "punts", "callbacks")
+#: Driver event counts of ``ArraySimulator.phase_profile`` (kernel
+#: returns to Python for stops and pool growths, callbacks into Python).
+_EVENTS = ("returns", "callbacks")
 
 
 def _dest(flag: str) -> str:

@@ -1,6 +1,6 @@
 """Observability: metrics registry, span timers, structured events.
 
-The platform's three hot layers — the array simulator's megakernel, the
+The platform's three hot layers — the array simulator's C cycle loop, the
 campaign engine, and the capacity-planning service — each gained real
 concurrency over PRs 6-8 without gaining any way to watch it run.  This
 package is the shared, dependency-free telemetry layer they report

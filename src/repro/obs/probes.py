@@ -1,10 +1,9 @@
 """Cycle-resolution time-series probes: schema, warmup checks, rendering.
 
-The array simulator's kernels can append one probe sample every k
+The array simulator's C cycle loop can append one probe sample every k
 cycles (``ArraySimulator(probe_interval=k)``): per replication the
 in-flight count, cumulative completed count, source-queue backlog and a
-histogram of per-channel busy-VC counts, all int64, written identically
-by the C megakernel and the numpy fallback (see
+histogram of per-channel busy-VC counts, all int64 (see
 ``state.SimState.alloc_probes`` for the buffer layout).  This module
 turns those raw ring buffers into the surfaced artefacts:
 

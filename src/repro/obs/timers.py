@@ -3,7 +3,7 @@
 Two shapes cover the call sites:
 
 * :class:`Stopwatch` — an explicit start/stop accumulator over
-  ``time.perf_counter_ns`` (the same clock class the C megakernel's
+  ``time.perf_counter_ns`` (the same clock class the C cycle loop's
   ``CLOCK_MONOTONIC`` profiling uses), for hand-rolled hot loops;
 * :func:`span` — a context manager that observes the elapsed seconds
   into a :class:`~repro.obs.registry.Histogram` on exit, exceptional

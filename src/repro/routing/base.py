@@ -150,7 +150,9 @@ class RoutingAlgorithm(abc.ABC):
 
         The floor becomes the used escape class (or stays, for class-a
         hops) plus one across negative hops — the monotonicity invariant
-        that makes the escape layer deadlock-free.
+        that makes the escape layer deadlock-free.  The array backend
+        inlines exactly this arithmetic, so it refuses algorithms that
+        override the method (they run on ``engine='object'``).
         """
         used_class = cfg.class_of_index(used_vc_index)
         base = state.escape_floor if used_class is None else used_class

@@ -12,9 +12,9 @@ Two backends implement the same cycle semantics (``docs/simulation.md``):
 
 * ``engine="object"`` — the reference object-per-flit engine
   (:mod:`repro.simulation.engine`), bit-reproducible per seed;
-* ``engine="array"`` — vectorized structure-of-arrays kernels
-  (:mod:`repro.simulation.state` / :mod:`repro.simulation.kernels`) that
-  advance batched replications in one process.
+* ``engine="array"`` — structure-of-arrays state advanced by one
+  compiled C cycle loop (:mod:`repro.simulation.state` /
+  :mod:`repro.simulation.kernels`), batched replications in one process.
 
 Traffic lives in :mod:`repro.workloads` (spatial patterns, temporal
 processes, the ``spatial[+temporal]`` grammar of

@@ -1,24 +1,19 @@
-/* Cycle megakernel for the array backend: VC allocation, switch
- * traversal and ejection — the whole per-cycle hot path of
- * repro.simulation.kernels in one call — plus a cycle-resident driver
- * (starnet_run) that also runs generation, activation, channel-load
- * sampling and the watchdog in C.  Events the Python side must service
- * inside a cycle (block refills, route-row fills, uniform-buffer
- * shortages) are callbacks into Python; the loop itself
- * returns only on stops, message-pool or ejection-row growth, the
- * watchdog and errors.
+/* Resident cycle loop of the array backend (repro.simulation.kernels).
  *
- * Semantically identical to the Python/numpy passes in kernels.py (the
- * fallback): allocation walks each replication's pending headers in a
- * freshly shuffled order and claims free VCs per the selection policy;
- * transfers and ejections are two-phase (winners picked from pre-cycle
- * state, then applied).  kernels.py asserts bit-identical results
- * between both paths, so any change here must be mirrored there.
+ * starnet_run advances a batch of replications cycle after cycle
+ * entirely in C: generation, activation, VC allocation, switch
+ * traversal, ejection, completion bookkeeping, channel-load sampling,
+ * time-series probes and the watchdog.  Work only Python can do inside a
+ * cycle (block refills, route-row fills, uniform-buffer refills) is a
+ * callback; the loop returns only on stops, message-pool exhaustion, a
+ * cycle limit (ArraySimulator.step), the watchdog and errors.  The
+ * object engine (repro.simulation.engine) is the readable reference of
+ * the same cycle semantics and the test oracle.
  *
  * Random variates are *pre-drawn* by the Python side into a per-
  * replication uniform buffer (alloc_buf); the kernel only consumes them
  * in a deterministic order (shuffle first, then at most one draw per
- * header), so numpy and C paths read the identical variate sequence.
+ * header), so it never touches a bit generator.
  *
  * Routing is data.  A header's candidate VCs come from two tables:
  * the route table, one packed int8 row {dist, nports, ports...} per
@@ -28,13 +23,12 @@
  * e_n} entry per (distance, colour, escape floor), built eagerly by
  * the Python side from RoutingAlgorithm.eligible.  Allocation walks the
  * ports in row order and each port's VC range in ascending index,
- * adaptive before escape — the order the numpy path enumerates.
+ * adaptive before escape.
  *
  * Round-robin arbitration uses the packed lookup table when `lut` is
  * non-null (V <= 15); otherwise a per-channel scan tracks the candidate
  * with the smallest cyclic offset from the round-robin pointer, which
- * is the same winner the table (and the numpy argmin fallback) yields,
- * so the C kernel has no V cap.
+ * is the same winner the table yields, so the kernel has no V cap.
  *
  * STAGING.  Every phase-2/3/4 mutation touches only one
  * replication's rows, so each replication runs the fused pipeline
@@ -43,13 +37,23 @@
  * list, the scalar counters) are written into per-replication staging
  * regions and merged in ascending replication order afterwards, and
  * phase 5 (completion bookkeeping with order-sensitive float
- * accumulation) runs last.  The kernel is single-threaded: batch-level parallelism
- * comes from running whole simulators on separate campaign lanes,
- * which call in here with the GIL released.
+ * accumulation) runs last.  The kernel is single-threaded: batch-level
+ * parallelism comes from running whole simulators in separate
+ * processes or campaign lanes, which call in here with the GIL released.
+ *
+ * Fixed-size arrays.  The ejection columns hold R * (C*V + N*slots)
+ * rows, a proven bound on ejecting messages plus pending headers: every
+ * ejecting message and every pending header off its source owns its
+ * head VC (distinct messages, distinct VCs), and headers still at their
+ * source each hold one of the node's injection slots.  The allocation
+ * scratch holds 2 * deg * V candidates.  The loop still checks the
+ * row bound every cycle (a broken bound is an invariant failure, not a
+ * buffer overrun).  Only the message pool grows: an exhausted pool
+ * returns RUN_GROW before anything is consumed.
  *
  * All arguments arrive through one int64 parameter block (pointers cast
- * to int64) so the per-cycle ctypes call marshals a single argument.
- * Slot layout must match kernels.ArraySimulator._refresh_c_args:
+ * to int64), so each call marshals a single argument.  Slot layout must
+ * match kernels.ArraySimulator._refresh_c_args:
  *
  *   0 bd          (int32*, R*CV)  packed buffered | delivered << 16
  *   1 avail       (int32*, R*CV)  flits available to pull
@@ -66,82 +70,73 @@
  *  16 active_inj  (int32*, R*N)   concurrent injections per node
  *  17 msg_ejected (int32*, R*cap) ejected flits per message
  *  18 cap  19 N
- *  20 ej_reps     (int64*)        ejection columns (appended here)
+ *  20 ej_reps     (int64*)        ejection columns (fixed rows, above)
  *  21 ej_slots    (int64*)
  *  22 ej_flats    (int64*)        head VC of each draining message
  *  23 ej_mflats   (int64*)        message-array index of each
  *  24 ej_pos      (int64*, R*cap) column position per message (-1)
- *  25 ej_n                        entries on input
- *  26 ej_k        (int32*, scratch)
- *  27 winners     (int64*, scratch R*C, per-rep region C)
- *  28 fin_nodes   (int64*, out)   rep*N + node of finished injections
- *  29 completions (int64*, out)   ej-column index of completed messages
+ *  25 ej_k        (int32*, scratch, one per ejection row)
+ *  26 winners     (int64*, scratch R*C, per-rep region C)
+ *  27 fin_nodes   (int64*, scratch R*C) rep*N + node of finished injections
+ *  28 completions (int64*, scratch, one per ejection row)
+ *  29 alloc_scr   (int32*, scratch 2*deg*V) free adaptive | escape VCs
  *  30 load_acc    (int64*, R*4)   channel-load sample accumulators
  *                                  {samples, sum_v, sum_v2, busy}, per rep
- *  31 out_counts  (int64*, 8)     {grants, busy_delta, fin, completions,
- *                                  error, ej_n_new, need_total, spare};
- *                                  error bit 1 = invariant failure, bit 2
- *                                  = a callback raised
- *  32 busy        (uint8*, R*C)   owned-VC count per channel
- *  33 do_alloc                    run the allocation phase here?
- *  34 cycle
- *  35 policy       0 adaptive-first, 1 lowest-escape, 2 random
- *  36 num_adaptive
- *  37 deg
- *  38 need_slots  (int32*, R*cap) pending headers, compacted in place
- *  39 need_n      (int64*, R)     in/out pending counts
- *  40 p_dst  41 p_header  42 p_dist  43 p_floor  44 p_hops
- *  45 p_first  46 p_head_vc   (all int32*, R*cap)
- *  47 route       (int8*, N*N*route_w) rows {dist, nports, ports...};
+ *  31 busy        (uint8*, R*C)   owned-VC count per channel
+ *  32 policy       0 adaptive-first, 1 lowest-escape, 2 random
+ *  33 num_adaptive
+ *  34 deg
+ *  35 need_slots  (int32*, R*cap) pending headers, compacted in place
+ *  36 need_n      (int64*, R)     pending counts
+ *  37 p_dst  38 p_header  39 p_dist  40 p_floor  41 p_hops
+ *  42 p_first  43 p_head_vc   (all int32*, R*cap)
+ *  44 route       (int8*, N*N*route_w) rows {dist, nports, ports...};
  *                                  dist -1: unresolved (kind 2 fills it)
- *  48 route_w                     row width, 2 + deg
- *  49 cls         (int32*, cls_d*2*num_escape*4) eligibility classes
+ *  45 route_w                     row width, 2 + deg
+ *  46 cls         (int32*, cls_d*2*num_escape*4) eligibility classes
  *                                  {a_lo, a_n, e_lo, e_n} at ((d-1)*2 +
  *                                  colour)*num_escape + floor; a_n -1:
  *                                  a state eligible() rejects
- *  50 cls_d                       diameter  51 num_escape
- *  52 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
- *  53 buf_cap     54 alloc_pos (int64*, R)
- *  55 neighbors   (int32*, C)     node reached through each channel
- *  56 color       (uint8*, N)     1 on "negative-hop" nodes
- *  57 msg_measured(uint8*, R*cap)
- *  58 msg_t_inject(double*, R*cap)
- *  59 alloc_attempts (int64*, R)  60 alloc_failures (int64*, R)
- *  61 injected    (int64*, R)     measured injections in window
- *  62 hb_req  63 hb_blk  64 hb_wait (int64*, R*(hb_max+1))
- *  65 hb_max
- *  66 msg_t_gen   (double*, R*cap) generation instant per message
- *  67 in_flight   (int64*, R)     live message counts
- *  68 meas_flight (int64*, R)     live *measured* message counts
- *  69 completed   (int64*, R)     cumulative completions
- *  70 free_stack  (int32*, R*cap) free-slot stacks  71 free_n (int64*, R)
- *  72 lat_sum     (double*, R)    total-latency accumulator
- *  73 net_sum     (double*, R)    network-latency accumulator
- *  74 srcw_sum    (double*, R)    source-wait accumulator
- *  75 mcount      (int64*, R)     measured completions
- *  76 lat_bsum    (double*, R*Bmax) per-batch latency sums
- *  77 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
- *  78 w_t0        (double*, R)    measurement-window start per rep
- *  79 w_width     (double*, R)    batch width per rep
- *  80 w_batches   (int64*, R)     batch count per rep  81 Bmax
- *
- * Staging + resident-driver slots (82+):
- *
- *  82 tstage      (int64*, R*8)   per-rep staging {grants, busy_delta,
- *                                  fin_n, spare, err, newej_n,
+ *  47 cls_d                       diameter  48 num_escape
+ *  49 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
+ *  50 buf_cap     51 alloc_pos (int64*, R)
+ *  52 neighbors   (int32*, C)     node reached through each channel
+ *  53 color       (uint8*, N)     1 on "negative-hop" nodes
+ *  54 msg_measured(uint8*, R*cap)
+ *  55 msg_t_inject(double*, R*cap)
+ *  56 alloc_attempts (int64*, R)  57 alloc_failures (int64*, R)
+ *  58 injected    (int64*, R)     measured injections in window
+ *  59 hb_req  60 hb_blk  61 hb_wait (int64*, R*(hb_max+1))
+ *  62 hb_max
+ *  63 msg_t_gen   (double*, R*cap) generation instant per message
+ *  64 in_flight   (int64*, R)     live message counts
+ *  65 meas_flight (int64*, R)     live *measured* message counts
+ *  66 completed   (int64*, R)     cumulative completions
+ *  67 free_stack  (int32*, R*cap) free-slot stacks  68 free_n (int64*, R)
+ *  69 lat_sum     (double*, R)    total-latency accumulator
+ *  70 net_sum     (double*, R)    network-latency accumulator
+ *  71 srcw_sum    (double*, R)    source-wait accumulator
+ *  72 mcount      (int64*, R)     measured completions
+ *  73 lat_bsum    (double*, R*Bmax) per-batch latency sums
+ *  74 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
+ *  75 w_t0        (double*, R)    measurement-window start per rep
+ *  76 w_width     (double*, R)    batch width per rep
+ *  77 w_batches   (int64*, R)     batch count per rep  78 Bmax
+ *  79 tstage      (int64*, R*8)   per-rep staging {-, busy_delta,
+ *                                  fin_n, -, err, newej_n,
  *                                  newej_base, bucket_end}
- *  83 gen_node_t  (double*, R*N)  next arrival instant per node
- *  84 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  85 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  86 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  87 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  88 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  89 dst_pos     (int32*, R*N)  90 dst_len (int32*, R*N)
- *  91 GB                          generation block size
- *  92 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  93 qhead  94 qtail  95 qlen   (int32*, R*N) per-node queues
- *  96 act         (uint8*, R*N)   nodes with pending activations
- *  97 cb                          service callback into Python
+ *  80 gen_node_t  (double*, R*N)  next arrival instant per node
+ *  81 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
+ *  82 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
+ *  83 arr_pos     (int32*, R*N)   cursor into arr_buf
+ *  84 arr_len     (int32*, R*N)   valid entries in arr_buf
+ *  85 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
+ *  86 dst_pos     (int32*, R*N)  87 dst_len (int32*, R*N)
+ *  88 GB                          generation block size
+ *  89 qnext       (int32*, R*cap) source-queue links (next slot or -1)
+ *  90 qhead  91 qtail  92 qlen   (int32*, R*N) per-node queues
+ *  93 act         (uint8*, R*N)   nodes with pending activations
+ *  94 cb                          service callback into Python
  *                                  int64 cb(kind, a, b):
  *                                  0 arrival-block refill (rep, node)
  *                                  1 dest-block refill (rep, node)
@@ -149,69 +144,66 @@
  *                                    fills the row in place
  *                                  4 uniform shortage (need_total, -):
  *                                    refill + re-base ugate; re-read
- *                                    slots 52-53 afterwards
+ *                                    slots 49-50 afterwards
  *                                  negative return: Python exception
- *  98 generated   (int64*, R)   99 meas_generated (int64*, R)
- * 100 warm        (int64*, R)  101 horizon (int64*, R)
- * 102 end         (int64*, R)     horizon + drain budget
- * 103 active      (uint8*, R)     1 until the rep's result is frozen
- * 104 slots                       injection slots per node
- * 105 grace                       watchdog grace (cycles)
- * 106 marks       (int64*, R)  107 lastp (int64*, R)  watchdog state
- * 108 sample_interval             cycles between channel-load samples
- * 109 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 110 ej_cap_rows                 ejection-column capacity
- * 111 run_state   (int64*, 8)     in/out {cycle, busy_vcs, ej_n,
- *                                  need_total, reason, aux, 0, 0}
- *                                  (starnet_run only)
- * 112 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
+ *  95 generated   (int64*, R)   96 meas_generated (int64*, R)
+ *  97 warm        (int64*, R)   98 horizon (int64*, R)
+ *  99 end         (int64*, R)     horizon + drain budget
+ * 100 active      (uint8*, R)     1 until the rep's result is frozen
+ * 101 slots                       injection slots per node
+ * 102 grace                       watchdog grace (cycles)
+ * 103 marks       (int64*, R)  104 lastp (int64*, R)  watchdog state
+ * 105 sample_interval             cycles between channel-load samples
+ * 106 ugate       (int64*, 2)     {headroom, spend} uniform gate
+ * 107 run_state   (int64*, 8)     {cycle, busy_vcs, ej_n, need_total,
+ *                                  reason, aux, limit, 0}: the first
+ *                                  four in/out, reason/aux out; limit
+ *                                  in (< 0: run until a stop, else
+ *                                  advance to that cycle and apply no
+ *                                  stop conditions)
+ * 108 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
  *                                  when profiling is off: {generation,
  *                                  activation, route, complete, -, -,
  *                                  -, -} (total/cycles live Python-side;
  *                                  see ArraySimulator.phase_profile)
  *
- * Time-series probe slots (113+), the same NULL-pointer = zero-overhead
- * contract as slot 112 (see probe_sample / docs/observability.md):
+ * Time-series probe slots (109+), the same NULL-pointer = zero-overhead
+ * contract as slot 108 (see probe_sample / docs/observability.md):
  *
- * 113 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
+ * 109 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
  *                                  when probing is off; one sample is
  *                                  R rows of {in_flight, completed,
  *                                  backlog, occupancy histogram 0..V}
- * 114 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 115 pb_state    (int64*, 1)     {sample count} — shared with the
- *                                  Python-driven cycles so both append
- *                                  to the same ring
- * 116 pb_interval                 cycles between samples
- * 117 pb_cap                      ring capacity (samples)
+ * 110 pb_cycles   (int64*, cap)   cycle stamp per sample
+ * 111 pb_state    (int64*, 1)     {sample count}
+ * 112 pb_interval                 cycles between samples
+ * 113 pb_cap                      ring capacity (samples)
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <time.h>
 
-/* Widest candidate list the on-stack free-VC scratch supports; the
- * Python side keeps do_alloc = 0 when deg * V exceeds it. */
-#define ALLOC_SCRATCH 512
-
 /* starnet_run return reasons (one per return; mirrored in kernels.py).
- * Every one leaves the current cycle unfinished (not advanced). */
+ * Every one but RUN_LIMIT leaves the current cycle unfinished. */
 #define RUN_STOP 1     /* a replication reached its stop condition      */
-#define RUN_PUNT 2     /* pool/ejection growth: Python runs the cycle   */
+#define RUN_GROW 2     /* message pool exhausted: Python grows it       */
 #define RUN_WATCHDOG 4 /* stalled: Python raises SimulationError        */
 #define RUN_CBERR 8    /* a service callback raised                     */
 #define RUN_ERR 16     /* kernel invariant failure                      */
+#define RUN_LIMIT 32   /* reached the run-state cycle limit             */
 
-/* run_phases error bits (out_counts[4]). */
+/* run_phases error bits. */
 #define ERR_INVARIANT 1
 #define ERR_CALLBACK 2
 
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
-/* Decoded parameter block.  Pool and ejection-row growth punt back to
- * Python before anything reallocates; the uniform buffer may be regrown
- * inside a callback, which patches the block in place, so its pointer
- * is re-read after every kind-4 call.  The route table never moves: the
- * kind-2 callback fills its rows in place. */
+/* Decoded parameter block.  The message pool grows only between calls
+ * (RUN_GROW), so its pointers are stable for a whole call; the uniform
+ * buffer may be regrown inside a callback, which patches the block in
+ * place, so its pointer is re-read after every kind-4 call.  The route
+ * table never moves: the kind-2 callback fills its rows in place. */
 typedef struct Ctx {
     const int64_t *P;
     int32_t *bd, *avail, *owner, *up, *down, *rr;
@@ -225,7 +217,8 @@ typedef struct Ctx {
     int64_t cap, N;
     int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
     int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions, *load_acc, *out_counts;
+    int64_t *winners, *fin_nodes, *completions, *load_acc;
+    int32_t *alloc_scr;
     uint8_t *busy;
     int64_t policy;
     int32_t num_adaptive;
@@ -259,7 +252,6 @@ typedef struct Ctx {
     const double *w_t0, *w_width;
     const int64_t *w_batches;
     int64_t Bmax;
-    /* staging + resident driver */
     int64_t *tstage;
     double *gen_node_t, *gen_next;
     double *arr_buf;
@@ -276,7 +268,6 @@ typedef struct Ctx {
     int64_t *marks, *lastp;
     int64_t sample_interval;
     int64_t *ugate;
-    int64_t ej_cap_rows;
     int64_t *run_state;
     int64_t *prof;
     int64_t *pb_data, *pb_cycles, *pb_state;
@@ -298,11 +289,11 @@ static inline int64_t prof_now(const int64_t *prof)
     return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* Uniform buffer (slots 52-53): widened by the kind-4 callback. */
+/* Uniform buffer (slots 49-50): widened by the kind-4 callback. */
 static void load_uniforms(Ctx *c)
 {
-    c->alloc_buf = (const double *)c->P[52];
-    c->buf_cap = c->P[53];
+    c->alloc_buf = (const double *)c->P[49];
+    c->buf_cap = c->P[50];
 }
 
 static void decode(Ctx *c, int64_t *P)
@@ -334,95 +325,94 @@ static void decode(Ctx *c, int64_t *P)
     c->ej_flats = (int64_t *)P[22];
     c->ej_mflats = (int64_t *)P[23];
     c->ej_pos = (int64_t *)P[24];
-    c->ej_k = (int32_t *)P[26];
-    c->winners = (int64_t *)P[27];
-    c->fin_nodes = (int64_t *)P[28];
-    c->completions = (int64_t *)P[29];
+    c->ej_k = (int32_t *)P[25];
+    c->winners = (int64_t *)P[26];
+    c->fin_nodes = (int64_t *)P[27];
+    c->completions = (int64_t *)P[28];
+    c->alloc_scr = (int32_t *)P[29];
     c->load_acc = (int64_t *)P[30];
-    c->out_counts = (int64_t *)P[31];
-    c->busy = (uint8_t *)P[32];
-    c->policy = P[35];
-    c->num_adaptive = (int32_t)P[36];
-    c->deg = P[37];
-    c->need_slots = (int32_t *)P[38];
-    c->need_n = (int64_t *)P[39];
-    c->p_dst = (int32_t *)P[40];
-    c->p_header = (int32_t *)P[41];
-    c->p_dist = (int32_t *)P[42];
-    c->p_floor = (int32_t *)P[43];
-    c->p_hops = (int32_t *)P[44];
-    c->p_first = (int32_t *)P[45];
-    c->p_head_vc = (int32_t *)P[46];
-    c->route = (const int8_t *)P[47];
-    c->route_w = P[48];
-    c->cls = (const int32_t *)P[49];
-    c->cls_d = P[50];
-    c->num_escape = P[51];
+    c->busy = (uint8_t *)P[31];
+    c->policy = P[32];
+    c->num_adaptive = (int32_t)P[33];
+    c->deg = P[34];
+    c->need_slots = (int32_t *)P[35];
+    c->need_n = (int64_t *)P[36];
+    c->p_dst = (int32_t *)P[37];
+    c->p_header = (int32_t *)P[38];
+    c->p_dist = (int32_t *)P[39];
+    c->p_floor = (int32_t *)P[40];
+    c->p_hops = (int32_t *)P[41];
+    c->p_first = (int32_t *)P[42];
+    c->p_head_vc = (int32_t *)P[43];
+    c->route = (const int8_t *)P[44];
+    c->route_w = P[45];
+    c->cls = (const int32_t *)P[46];
+    c->cls_d = P[47];
+    c->num_escape = P[48];
     load_uniforms(c);
-    c->alloc_pos = (int64_t *)P[54];
-    c->neighbors = (const int32_t *)P[55];
-    c->color = (const uint8_t *)P[56];
-    c->measured = (uint8_t *)P[57];
-    c->t_inject = (double *)P[58];
-    c->alloc_attempts = (int64_t *)P[59];
-    c->alloc_failures = (int64_t *)P[60];
-    c->injected = (int64_t *)P[61];
-    c->hb_req = (int64_t *)P[62];
-    c->hb_blk = (int64_t *)P[63];
-    c->hb_wait = (int64_t *)P[64];
-    c->hb_max = P[65];
-    c->t_gen = (double *)P[66];
-    c->in_flight = (int64_t *)P[67];
-    c->meas_flight = (int64_t *)P[68];
-    c->completed = (int64_t *)P[69];
-    c->free_stack = (int32_t *)P[70];
-    c->free_n = (int64_t *)P[71];
-    c->lat_sum = (double *)P[72];
-    c->net_sum = (double *)P[73];
-    c->srcw_sum = (double *)P[74];
-    c->mcount = (int64_t *)P[75];
-    c->lat_bsum = (double *)P[76];
-    c->lat_bcount = (int64_t *)P[77];
-    c->w_t0 = (const double *)P[78];
-    c->w_width = (const double *)P[79];
-    c->w_batches = (const int64_t *)P[80];
-    c->Bmax = P[81];
-    c->tstage = (int64_t *)P[82];
-    c->gen_node_t = (double *)P[83];
-    c->gen_next = (double *)P[84];
-    c->arr_buf = (double *)P[85];
-    c->arr_pos = (int32_t *)P[86];
-    c->arr_len = (int32_t *)P[87];
-    c->dst_buf = (int32_t *)P[88];
-    c->dst_pos = (int32_t *)P[89];
-    c->dst_len = (int32_t *)P[90];
-    c->GB = P[91];
-    c->qnext = (int32_t *)P[92];
-    c->qhead = (int32_t *)P[93];
-    c->qtail = (int32_t *)P[94];
-    c->qlen = (int32_t *)P[95];
-    c->act = (uint8_t *)P[96];
-    c->cb = (starnet_cb)(intptr_t)P[97];
-    c->generated = (int64_t *)P[98];
-    c->meas_generated = (int64_t *)P[99];
-    c->warm = (const int64_t *)P[100];
-    c->horizon = (const int64_t *)P[101];
-    c->end = (const int64_t *)P[102];
-    c->active = (uint8_t *)P[103];
-    c->slots = P[104];
-    c->grace = P[105];
-    c->marks = (int64_t *)P[106];
-    c->lastp = (int64_t *)P[107];
-    c->sample_interval = P[108];
-    c->ugate = (int64_t *)P[109];
-    c->ej_cap_rows = P[110];
-    c->run_state = (int64_t *)P[111];
-    c->prof = (int64_t *)P[112];
-    c->pb_data = (int64_t *)P[113];
-    c->pb_cycles = (int64_t *)P[114];
-    c->pb_state = (int64_t *)P[115];
-    c->pb_interval = P[116];
-    c->pb_cap = P[117];
+    c->alloc_pos = (int64_t *)P[51];
+    c->neighbors = (const int32_t *)P[52];
+    c->color = (const uint8_t *)P[53];
+    c->measured = (uint8_t *)P[54];
+    c->t_inject = (double *)P[55];
+    c->alloc_attempts = (int64_t *)P[56];
+    c->alloc_failures = (int64_t *)P[57];
+    c->injected = (int64_t *)P[58];
+    c->hb_req = (int64_t *)P[59];
+    c->hb_blk = (int64_t *)P[60];
+    c->hb_wait = (int64_t *)P[61];
+    c->hb_max = P[62];
+    c->t_gen = (double *)P[63];
+    c->in_flight = (int64_t *)P[64];
+    c->meas_flight = (int64_t *)P[65];
+    c->completed = (int64_t *)P[66];
+    c->free_stack = (int32_t *)P[67];
+    c->free_n = (int64_t *)P[68];
+    c->lat_sum = (double *)P[69];
+    c->net_sum = (double *)P[70];
+    c->srcw_sum = (double *)P[71];
+    c->mcount = (int64_t *)P[72];
+    c->lat_bsum = (double *)P[73];
+    c->lat_bcount = (int64_t *)P[74];
+    c->w_t0 = (const double *)P[75];
+    c->w_width = (const double *)P[76];
+    c->w_batches = (const int64_t *)P[77];
+    c->Bmax = P[78];
+    c->tstage = (int64_t *)P[79];
+    c->gen_node_t = (double *)P[80];
+    c->gen_next = (double *)P[81];
+    c->arr_buf = (double *)P[82];
+    c->arr_pos = (int32_t *)P[83];
+    c->arr_len = (int32_t *)P[84];
+    c->dst_buf = (int32_t *)P[85];
+    c->dst_pos = (int32_t *)P[86];
+    c->dst_len = (int32_t *)P[87];
+    c->GB = P[88];
+    c->qnext = (int32_t *)P[89];
+    c->qhead = (int32_t *)P[90];
+    c->qtail = (int32_t *)P[91];
+    c->qlen = (int32_t *)P[92];
+    c->act = (uint8_t *)P[93];
+    c->cb = (starnet_cb)(intptr_t)P[94];
+    c->generated = (int64_t *)P[95];
+    c->meas_generated = (int64_t *)P[96];
+    c->warm = (const int64_t *)P[97];
+    c->horizon = (const int64_t *)P[98];
+    c->end = (const int64_t *)P[99];
+    c->active = (uint8_t *)P[100];
+    c->slots = P[101];
+    c->grace = P[102];
+    c->marks = (int64_t *)P[103];
+    c->lastp = (int64_t *)P[104];
+    c->sample_interval = P[105];
+    c->ugate = (int64_t *)P[106];
+    c->run_state = (int64_t *)P[107];
+    c->prof = (int64_t *)P[108];
+    c->pb_data = (int64_t *)P[109];
+    c->pb_cycles = (int64_t *)P[110];
+    c->pb_state = (int64_t *)P[111];
+    c->pb_interval = P[112];
+    c->pb_cap = P[113];
     c->ms = (int64_t)c->M << 16;
     c->CV = c->C * c->V;
 }
@@ -430,8 +420,7 @@ static void decode(Ctx *c, int64_t *P)
 /* Time-series probe: one ring-buffer sample of the batch's occupancy
  * state after the probed cycle's phases.  Observation-only — it reads
  * counters the phases already maintain and writes only the side
- * buffers — so results are bit-identical probed or not; the numpy
- * fallback's ArraySimulator._probe_sample mirrors this layout exactly.
+ * buffers — so results are bit-identical probed or not.
  * The caller's NULL check on pb_data keeps the probes-off path to one
  * predictable branch per cycle, the prof_now contract. */
 static void probe_sample(const Ctx *c, int64_t cycle)
@@ -537,7 +526,7 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
             int32_t *ns = c->need_slots + r * cap;
             const double *ub = c->alloc_buf + r * c->buf_cap;
             int64_t pos = c->alloc_pos[r];
-            if (n > 1) { /* Fisher-Yates, same draws as the fallback */
+            if (n > 1) { /* Fisher-Yates over the pending list */
                 for (int64_t i = n - 1; i > 0; --i) {
                     const int64_t j = (int64_t)(ub[pos++] * (i + 1));
                     const int32_t tmp = ns[i];
@@ -562,8 +551,9 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                     continue;
                 }
                 /* candidates port-major in ports() order, then ascending
-                 * VC index, adaptive before escape (as _candidates) */
-                int32_t fa[ALLOC_SCRATCH], fe[ALLOC_SCRATCH];
+                 * VC index, adaptive before escape; each list holds at
+                 * most deg * V entries */
+                int32_t *fa = c->alloc_scr, *fe = c->alloc_scr + c->deg * V;
                 int64_t na = 0, ne = 0;
                 for (int64_t p = 0; p < row[1]; ++p) {
                     const int32_t vc0 = (int32_t)((cur * c->deg + row[2 + p]) * V);
@@ -803,7 +793,6 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 c->ej_k[i] = -1;
         }
 
-        ts[0] = grants_r;
         ts[1] = busy_delta_r;
         ts[2] = fn_r;
         ts[4] = err_r;
@@ -816,7 +805,7 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
 /* ------------------------------------------------------------------ */
 
 typedef struct CycleOut {
-    int64_t grants, busy_delta, fn, cn, err, ej_n, need_total;
+    int64_t busy_delta, fn, err, ej_n, need_total;
 } CycleOut;
 
 static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
@@ -832,7 +821,7 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     int64_t off = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
         int64_t *ts = c->tstage + r * 8;
-        ts[0] = ts[1] = ts[2] = ts[4] = ts[5] = 0;
+        ts[1] = ts[2] = ts[4] = ts[5] = 0;
         ts[6] = off;
         ts[7] = 0;
         if (do_alloc)
@@ -858,11 +847,10 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     rep_phases(c, cycle, do_alloc);
 
     /* Serial merge, ascending replication order == serial phase order. */
-    int64_t grants = 0, busy_delta = 0, err = 0;
+    int64_t busy_delta = 0, err = 0;
     int64_t ej_n = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
         const int64_t *ts = c->tstage + r * 8;
-        grants += ts[0];
         busy_delta += ts[1];
         err |= ts[4];
         const int64_t base = ts[6];
@@ -899,8 +887,7 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
      * sums are float adds in completion order.  Capture (rep, slot)
      * pairs before removing any column: swap-removal shifts later
      * columns, so the recorded indices are only valid against the
-     * pre-removal layout (the numpy fallback does the same
-     * capture-then-process). */
+     * pre-removal layout. */
     for (int64_t j = 0; j < cn; ++j) {
         const int64_t i = c->completions[j];
         c->completions[j] = c->ej_reps[i] * cap + c->ej_slots[i];
@@ -929,7 +916,7 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
             c->lat_bsum[r * c->Bmax + b] += v;
             c->lat_bcount[r * c->Bmax + b] += 1;
         }
-        /* free the message slot (mirrors SimState.free_slot) */
+        /* push the message slot back on its replication's free stack */
         c->p_head_vc[mf] = -1;
         c->free_stack[r * cap + c->free_n[r]] = (int32_t)(mf - r * cap);
         c->free_n[r] += 1;
@@ -956,30 +943,11 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     if (c->prof)
         c->prof[3] += prof_now(c->prof) - pt1;
 
-    o->grants = grants;
     o->busy_delta = busy_delta;
     o->fn = fn;
-    o->cn = cn;
     o->err = err;
     o->ej_n = ej_n;
     o->need_total = need_total;
-}
-
-int64_t starnet_cycle(int64_t *P)
-{
-    Ctx c;
-    decode(&c, P);
-    CycleOut o;
-    run_phases(&c, P[34], P[33], P[25], &o);
-    int64_t *out = c.out_counts;
-    out[0] = o.grants;
-    out[1] = o.busy_delta;
-    out[2] = o.fn;
-    out[3] = o.cn;
-    out[4] = o.err;
-    out[5] = o.ej_n;
-    out[6] = o.need_total;
-    return o.grants;
 }
 
 /* ------------------------------------------------------------------ */
@@ -987,15 +955,19 @@ int64_t starnet_cycle(int64_t *P)
 /* ------------------------------------------------------------------ */
 
 #define GEN_OK 0
-#define GEN_PUNT 1
+#define GEN_GROW 1
 #define GEN_CBERR 2
 
-/* Arrival generation, the C twin of ArraySimulator._generate.  Each
- * node holds exactly one outstanding arrival, so (instant, node) pairs
- * are unique per replication and the event order is canonical: the
- * smallest instant, ties broken by the smallest node — exactly the
- * tuple order the heap-based engines produce.  Refill callbacks
- * re-enter Python (ctypes re-acquires the GIL). */
+/* Arrival generation.  Each node holds exactly one outstanding arrival,
+ * so (instant, node) pairs are unique per replication and the event
+ * order is canonical: the smallest instant, ties broken by the smallest
+ * node — exactly the tuple order the object engine's heap produces.
+ * Refill callbacks re-enter Python (ctypes re-acquires the GIL).
+ *
+ * An exhausted message pool returns GEN_GROW before the event consumes
+ * anything, so re-entering at the same cycle after Python grew the pool
+ * is idempotent: replications that finished this cycle's arrivals have
+ * gen_next > cycle and are skipped; this one resumes at the same event. */
 static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
 {
     const int64_t N = c->N, GB = c->GB, cap = c->cap;
@@ -1019,11 +991,9 @@ static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
                 c->gen_next[r] = best;
                 break;
             }
-            if (c->free_n[r] == 0) {
-                /* message pool exhausted: Python grows it and runs
-                 * this cycle via step(); nothing consumed yet. */
+            if (c->free_n[r] == 0) { /* pool exhausted; nothing consumed */
                 c->gen_next[r] = best;
-                return GEN_PUNT;
+                return GEN_GROW;
             }
             /* destination draw */
             const int64_t rn = rN + node;
@@ -1040,7 +1010,7 @@ static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
             if (!row)
                 return GEN_CBERR;
             const int32_t dist = row[0];
-            /* allocate the message slot (mirrors SimState.alloc_slot) */
+            /* pop a message slot off the replication's free stack */
             const int64_t fn2 = c->free_n[r] - 1;
             c->free_n[r] = fn2;
             const int32_t s = c->free_stack[r * cap + fn2];
@@ -1083,9 +1053,9 @@ static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
     return GEN_OK;
 }
 
-/* Activation, the C twin of ArraySimulator._activate: ascending
- * (rep, node) order == sorted(set) order.  A message entering injection
- * sits at its source, whose route row generation already filled. */
+/* Activation, in ascending (rep, node) order.  A message entering
+ * injection sits at its source, whose route row generation already
+ * filled. */
 static void act_cycle(const Ctx *c, int64_t *need_total)
 {
     const int64_t N = c->N, cap = c->cap;
@@ -1125,8 +1095,11 @@ int64_t starnet_run(int64_t *P)
     int64_t busy_vcs = RS[1];
     int64_t ej_n = RS[2];
     int64_t need_total = RS[3];
+    const int64_t limit = RS[6];
     int64_t reason = 0, aux = 0;
     const int64_t R = c.R, N = c.N;
+    /* fixed ejection rows: each pending header may append one */
+    const int64_t ej_rows = R * (c.CV + N * c.slots);
 
     int act_any = 0;
     for (int64_t i = 0; i < R * N; ++i)
@@ -1136,13 +1109,21 @@ int64_t starnet_run(int64_t *P)
         }
 
     for (;;) {
-        /* run()-level stop check, before the cycle advances */
-        for (int64_t r = 0; r < R; ++r)
-            if (c.active[r] && cycle >= c.horizon[r]
-                && (cycle >= c.end[r] || c.meas_flight[r] == 0)) {
-                reason = RUN_STOP;
+        /* a limited call (step()) only counts cycles; otherwise the
+         * run()-level stop check, before the cycle advances */
+        if (limit >= 0) {
+            if (cycle >= limit) {
+                reason = RUN_LIMIT;
                 goto out;
             }
+        } else {
+            for (int64_t r = 0; r < R; ++r)
+                if (c.active[r] && cycle >= c.horizon[r]
+                    && (cycle >= c.end[r] || c.meas_flight[r] == 0)) {
+                    reason = RUN_STOP;
+                    goto out;
+                }
+        }
 
         /* phase 1 — generation, then activation */
         {
@@ -1154,8 +1135,8 @@ int64_t starnet_run(int64_t *P)
                 reason = RUN_CBERR;
                 goto out;
             }
-            if (g == GEN_PUNT) {
-                reason = RUN_PUNT;
+            if (g == GEN_GROW) {
+                reason = RUN_GROW;
                 goto out;
             }
         }
@@ -1168,14 +1149,18 @@ int64_t starnet_run(int64_t *P)
         }
 
         /* phases 2-5 */
+        if (ej_n + need_total > ej_rows) { /* the bound above broke */
+            reason = RUN_ERR;
+            goto out;
+        }
         if (busy_vcs || need_total) {
             const int64_t do_alloc = need_total > 0;
             if (do_alloc) {
-                /* uniform-headroom gate, the twin of _ensure_uniforms:
-                 * while the amortized bound holds, consume it; a failed
-                 * bound with no actual shortage re-bases the gate
-                 * exactly as the Python path does; a real shortage
-                 * calls back (kind 4) so Python refills the buffer. */
+                /* uniform-headroom gate (see _ensure_uniforms): while
+                 * the amortized bound holds, consume it; a failed bound
+                 * with no actual shortage re-bases the gate; a real
+                 * shortage calls back (kind 4) so Python refills the
+                 * buffer. */
                 const int64_t bound = 2 * need_total;
                 if (c.ugate[1] + bound <= c.ugate[0]) {
                     c.ugate[1] += bound;
@@ -1198,11 +1183,6 @@ int64_t starnet_run(int64_t *P)
                         c.ugate[0] = c.buf_cap - posmax;
                         c.ugate[1] = bound;
                     }
-                }
-                /* every pending header could append an ejection row */
-                if (ej_n + need_total > c.ej_cap_rows) {
-                    reason = RUN_PUNT;
-                    goto out;
                 }
             }
             CycleOut o;

@@ -3,11 +3,15 @@
 ``engine="object"`` is the reference implementation
 (:class:`repro.simulation.engine.WormholeSimulator`): an object-per-flit
 cycle loop whose per-seed results are frozen — regression tests pin them
-bit-for-bit.  ``engine="array"`` is the vectorized backend
+bit-for-bit.  ``engine="array"`` is the batched backend
 (:class:`repro.simulation.kernels.ArraySimulator`): the same four-phase
-cycle as numpy passes over structure-of-arrays state, statistically
-equivalent to the object engine and able to advance many replications in
-one process (see ``docs/simulation.md`` for the equivalence contract).
+cycle run by one compiled C loop over structure-of-arrays state,
+statistically equivalent to the object engine and able to advance many
+replications in one process (see ``docs/simulation.md`` for the
+equivalence contract).  Without a C compiler the array engine raises
+:class:`ConfigurationError` naming ``engine='object'``; it never
+substitutes the object engine, whose results would then pose as
+array-engine results.
 
 The backend is named by :attr:`SimulationConfig.engine`, and every entry
 point — ``SimSpec.run``, the campaign ``sim``/``sim_batch`` kinds, the
@@ -130,8 +134,8 @@ def simulate_batch(
     """Run R independent replications; one result per seed, in seed order.
 
     ``seeds`` defaults to ``config.seed .. config.seed + R - 1``.  On the
-    array backend all replications advance through one set of vectorized
-    passes (a confidence-interval run costs one process); on the object
+    array backend all replications advance through one cycle loop (a
+    confidence-interval run costs one process); on the object
     backend the seeds run sequentially.  Either way replication ``i``'s
     result is a pure function of ``seeds[i]`` — batching never couples
     replications.

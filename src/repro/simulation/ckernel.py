@@ -1,19 +1,18 @@
-"""On-demand compiled C cycle kernel for the array backend.
+"""On-demand compiled C kernel of the array backend.
 
-The array backend's per-cycle hot path (switch traversal + ejection) is
-implemented twice: as numpy passes in :mod:`repro.simulation.kernels`
-(always available) and as a single C function (``_ckernel.c``) compiled
-here with the system C compiler on first use.  Both paths are
-bit-identical — the kernels module asserts as much in the test-suite —
-so the C path is purely an accelerator: roughly one function call per
-cycle instead of ~40 numpy dispatches.
+The array backend (:mod:`repro.simulation.kernels`) runs every cycle in
+one C function, ``starnet_run`` (``_ckernel.c``), compiled here with the
+system C compiler on first use.  There is no interpreted fallback: when
+no working compiler is found (or the build will not load),
+:func:`load_kernel` returns None and ``ArraySimulator`` refuses to
+construct, naming ``engine='object'`` — the reference engine, which
+needs no compiler.
 
 Compilation is attempted once per process and cached as a shared object
 keyed by the source hash (honouring ``STARNET_CKERNEL_DIR``, defaulting
-to a per-user cache directory).  Set ``STARNET_NO_CKERNEL=1`` to force
-the numpy path silently; an unexpected compile/load *failure* also falls
-back to numpy but emits one :class:`RuntimeWarning` for the whole
-process (the result is correct either way — only slower).
+to a per-user cache directory).  When that directory cannot be written
+(a read-only home, say), the build goes to a private per-user directory
+under the system temp dir instead.
 """
 
 from __future__ import annotations
@@ -24,31 +23,17 @@ import os
 import shutil
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
-from typing import NamedTuple
 
-__all__ = ["KernelBundle", "load_bundle", "load_kernel"]
+__all__ = ["kernel_error", "load_bundle", "load_kernel"]
 
 _SOURCE = Path(__file__).with_name("_ckernel.c")
 
 #: The kernel takes one int64 parameter block (see _ckernel.c for the
-#: slot layout) so each per-cycle call marshals a single pointer.
+#: slot layout), so each call marshals a single pointer.
 _SIGNATURE: list = [ctypes.c_void_p]
 
-
-class KernelBundle(NamedTuple):
-    """The compiled entry points of one ``_ckernel.c`` build.
-
-    ``cycle`` runs one cycle of phases 2-5; ``run`` is the resident
-    driver that loops whole cycles in C.  Both release the GIL while
-    they run, so simulators on separate campaign lanes overlap.
-    """
-
-    cycle: object
-    run: object
-
-
+#: ``(kernel or None, failure reason or None)`` once loading was tried.
 _cached: tuple | None = None
 
 
@@ -60,6 +45,22 @@ def _cache_dir() -> Path:
         os.path.expanduser("~"), ".cache"
     )
     return Path(base) / "starnet-repro"
+
+
+def _private_tmp_dir() -> Path:
+    """A per-user build directory under the system temp dir.
+
+    Only used when :func:`_cache_dir` cannot be written.  The temp dir is
+    shared, so the directory must be owned by this user and writable by
+    no one else before a shared object is built or loaded from it.
+    """
+    uid = os.getuid()
+    path = Path(tempfile.gettempdir()) / f"starnet-repro-{uid}"
+    path.mkdir(mode=0o700, exist_ok=True)
+    st = path.stat()
+    if st.st_uid != uid or st.st_mode & 0o022:
+        raise PermissionError(f"{path} is not a private directory")
+    return path
 
 
 def _compiler() -> str | None:
@@ -112,53 +113,47 @@ def _build(source: Path, out: Path) -> bool:
 
 
 def _fail(reason: str):
-    """Cache the numpy fallback, warning once per process."""
+    """Cache a failed load and its reason (see :func:`kernel_error`)."""
     global _cached
-    _cached = (None,)
-    warnings.warn(
-        f"compiled cycle kernel unavailable ({reason}); "
-        "falling back to the (slower, bit-identical) numpy path",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    _cached = (None, reason)
     return None
 
 
-def load_bundle() -> KernelBundle | None:
-    """The compiled kernel entry points, or None when unavailable.
+def load_kernel():
+    """The compiled ``starnet_run`` function, or None when unavailable.
 
-    Both symbols load (or fail) as one unit: a build that exports
-    ``starnet_cycle`` but not ``starnet_run`` is treated as a failed
-    load, so callers never see a half-built kernel.
+    It releases the GIL while it runs, so simulators in separate
+    campaign lanes overlap.
     """
     global _cached
     if _cached is not None:
         return _cached[0]
-    if os.environ.get("STARNET_NO_CKERNEL"):
-        # Deliberate opt-out: no warning.
-        _cached = (None,)
-        return None
     try:
         src = _SOURCE.read_bytes()
-        digest = hashlib.sha256(src).hexdigest()[:16]
-        so_path = _cache_dir() / f"ckernel-{digest}.so"
-        if not so_path.exists() and not _build(_SOURCE, so_path):
-            return _fail("no working C compiler")
-        lib = ctypes.CDLL(str(so_path))
-        cycle = lib.starnet_cycle
-        cycle.argtypes = _SIGNATURE
-        cycle.restype = ctypes.c_int64
-        run = lib.starnet_run
+        name = f"ckernel-{hashlib.sha256(src).hexdigest()[:16]}.so"
+        so_path = _cache_dir() / name
+        if not so_path.exists():
+            try:
+                built = _build(_SOURCE, so_path)
+            except OSError:  # cache directory not writable
+                so_path = _private_tmp_dir() / name
+                built = so_path.exists() or _build(_SOURCE, so_path)
+            if not built:
+                return _fail("no working C compiler")
+        run = ctypes.CDLL(str(so_path)).starnet_run
         run.argtypes = _SIGNATURE
         run.restype = ctypes.c_int64
-        bundle = KernelBundle(cycle, run)
-        _cached = (bundle,)
-        return bundle
+        _cached = (run, None)
+        return run
     except (OSError, AttributeError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 
-def load_kernel():
-    """The compiled ``starnet_cycle`` function, or None when unavailable."""
-    bundle = load_bundle()
-    return bundle.cycle if bundle is not None else None
+#: Older name of :func:`load_kernel`, kept for existing callers.
+load_bundle = load_kernel
+
+
+def kernel_error() -> str | None:
+    """Why :func:`load_kernel` returned None (None if it succeeded)."""
+    load_kernel()
+    return _cached[1]

@@ -65,9 +65,10 @@ class SimulationConfig:
         stall longer than the default and should raise this.
     engine:
         Simulation backend: ``"object"`` (the reference object-per-flit
-        engine, bit-reproducible per seed) or ``"array"`` (vectorized
-        structure-of-arrays kernels, statistically equivalent and able
-        to batch replications).  See ``docs/simulation.md``.
+        engine, bit-reproducible per seed) or ``"array"`` (a compiled C
+        cycle loop over structure-of-arrays state, statistically
+        equivalent and able to batch replications; needs a C compiler).
+        See ``docs/simulation.md``.
     """
 
     message_length: int = 32

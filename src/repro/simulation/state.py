@@ -2,10 +2,10 @@
 
 The object engine (:mod:`repro.simulation.engine`) represents the network
 as a graph of ``Message``/``VirtualChannel``/``PhysicalChannel`` objects.
-:class:`SimState` holds the same information as flat numpy arrays so the
-kernel layer (:mod:`repro.simulation.kernels`) can advance many
-independent replications with a handful of vectorized passes per cycle.
-Every array carries the replication axis first; a virtual channel is
+:class:`SimState` holds the same information as flat numpy arrays that
+the compiled cycle loop (:mod:`repro.simulation.kernels`) reads and
+writes in place, for many independent replications at once.  Every
+array carries the replication axis first; a virtual channel is
 addressed by its flat id ``channel * V + vc``.
 
 Hot-path layout choices (benchmarked on the S4 batch workload):
@@ -18,17 +18,15 @@ Hot-path layout choices (benchmarked on the S4 batch workload):
   transfer-candidate mask without a separate ownership test.
 * ``vc_avail`` counts flits available for a VC to *pull* — its upstream
   VC's buffered count, or the flits still at the source PE for the first
-  VC of a chain.  It is maintained incrementally by the kernels (grant,
-  acquire, downstream-gain) precisely so the candidate mask needs no
+  VC of a chain.  It is maintained incrementally by the kernel (grant,
+  acquire, downstream-gain) precisely so the candidate test needs no
   gather through the upstream pointers.
 * Every per-message field, including the header-position/escape-floor
   fields that only the allocation phase reads, is a contiguous ``(R,
-  cap)`` int32 array.  The compiled megakernel runs the allocation loop
-  directly on these buffers; the numpy fallback reads them the same way,
-  so there is exactly one copy of each fact (the old Python-list mirrors
-  are gone).  A header's candidate VCs are not stored per message: the
-  kernels derive them from (``p_header``, ``p_dst``, ``p_floor``) through
-  the simulator's route and eligibility-class tables.
+  cap)`` int32 array the kernel runs the allocation loop on directly.
+  A header's candidate VCs are not stored per message: the kernel
+  derives them from (``p_header``, ``p_dst``, ``p_floor``) through the
+  simulator's route and eligibility-class tables.
 """
 
 from __future__ import annotations
@@ -85,21 +83,12 @@ class SimState:
 
         # -- physical channels -------------------------------------------
         self.ch_rr = np.zeros((R, self.num_channels), dtype=np.int32)
-        #: Owned-VC count per channel; lets the kernels skip idle channels.
+        #: Owned-VC count per channel; lets the kernel skip idle channels.
         self.ch_busy = np.zeros((R, self.num_channels), dtype=np.uint8)
         self.transfers = np.zeros(R, dtype=np.int64)
 
         # -- nodes --------------------------------------------------------
         self.active_injections = np.zeros((R, self.num_nodes), dtype=np.int32)
-
-        # -- flat views & offsets for 1D scatter/gather -------------------
-        self.bd_flat = self.vc_bd.ravel()
-        self.avail_flat = self.vc_avail.ravel()
-        self.owner_flat = self.vc_owner.ravel()
-        self.up_flat = self.vc_upstream.ravel()
-        self.down_flat = self.vc_downstream.ravel()
-        self.rr_flat = self.ch_rr.ravel()
-        self.busy_flat = self.ch_busy.ravel()
 
         # -- message slot pool -------------------------------------------
         cap = max(16, initial_capacity)
@@ -110,9 +99,7 @@ class SimState:
         self.msg_src = np.zeros((R, cap), dtype=np.int32)
         self.msg_ejected = np.zeros((R, cap), dtype=np.int32)
         self.msg_vcs_held = np.zeros((R, cap), dtype=np.int32)
-        self.msg_ejected_flat = self.msg_ejected.ravel()
-        # Allocation-phase fields (read/written per header by the C
-        # megakernel and the numpy fallback alike):
+        # Allocation-phase fields (read/written per header by the kernel):
         self.p_dst = np.zeros((R, cap), dtype=np.int32)
         self.p_header = np.zeros((R, cap), dtype=np.int32)
         self.p_dist = np.zeros((R, cap), dtype=np.int32)
@@ -122,8 +109,8 @@ class SimState:
         self.p_head_vc = np.full((R, cap), -1, dtype=np.int32)
 
         #: Per-replication free-slot stacks (stack top hands out low ids
-        #: first); arrays rather than lists so the compiled megakernel
-        #: can recycle completed slots without a Python round-trip.
+        #: first), popped at generation and pushed at completion by the
+        #: kernel.
         self.free_stack = np.empty((R, cap), dtype=np.int32)
         self.free_stack[:] = np.arange(cap - 1, -1, -1, dtype=np.int32)[None, :]
         self.free_n = np.full(R, cap, dtype=np.int64)
@@ -133,10 +120,10 @@ class SimState:
         #: activation, route, complete, reserved, total, reserved,
         #: reserved}.  Always allocated (64 bytes) but only written when
         #: ``ArraySimulator(profile=True)`` hands its pointer to the
-        #: kernel / the per-cycle driver; see docs/observability.md.
+        #: kernel; see docs/observability.md.
         self.phase_ns = np.zeros(8, dtype=np.int64)
 
-        #: Time-series probe ring buffers (param-block slots 113-115),
+        #: Time-series probe ring buffers (param-block slots 109-111),
         #: unallocated until ``alloc_probes`` — probing is opt-in
         #: (``ArraySimulator(probe_interval=k)``) and the kernel sees a
         #: NULL data pointer otherwise, the same zero-overhead contract
@@ -152,10 +139,9 @@ class SimState:
 
         One sample holds, per replication, ``[in_flight, completed,
         backlog, occupancy histogram over busy-VC counts 0..V]`` — all
-        int64, written by the C megakernel and the numpy fallback with
-        identical semantics.  ``probe_state[0]`` is the shared sample
-        counter so C-resident spans and Python-driven cycles append to
-        the same ring.
+        int64, written by the kernel.  ``probe_state[0]`` is the sample
+        count, kept across kernel calls so every call appends to the
+        same ring.
         """
         if capacity < 1:
             raise ConfigurationError(f"probe capacity must be >= 1, got {capacity}")
@@ -168,24 +154,8 @@ class SimState:
         self.probe_state = np.zeros(1, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # Slot management
+    # Message pool
     # ------------------------------------------------------------------
-
-    def alloc_slot(self, rep: int) -> int:
-        """Claim a free message slot in ``rep`` (growing the pool if full)."""
-        n = int(self.free_n[rep]) - 1
-        if n < 0:
-            self.grow()
-            n = int(self.free_n[rep]) - 1
-        self.free_n[rep] = n
-        return int(self.free_stack[rep, n])
-
-    def free_slot(self, rep: int, slot: int) -> None:
-        """Return a completed message's slot to the pool."""
-        self.p_head_vc[rep, slot] = -1
-        n = self.free_n[rep]
-        self.free_stack[rep, n] = slot
-        self.free_n[rep] = n + 1
 
     def grow(self) -> None:
         """Double the message-pool capacity (all replications at once)."""
@@ -212,7 +182,6 @@ class SimState:
             wide[:, :old] = arr
             wide[:, old:] = fill
             setattr(self, name, wide)
-        self.msg_ejected_flat = self.msg_ejected.ravel()
         # New (higher) slot ids go on top of each stack in descending
         # order, so the next pops hand out the lowest new ids first —
         # the same order the old per-rep list ``extend`` produced.
@@ -225,14 +194,3 @@ class SimState:
         self.free_stack = wide_stack
         self.free_n += new_ids.size
         self.capacity = new
-
-    # ------------------------------------------------------------------
-    # Derived views
-    # ------------------------------------------------------------------
-
-    def busy_vc_counts(self) -> np.ndarray:
-        """Per-channel count of owned VCs, shape ``(R, num_channels)``."""
-        owned = (self.vc_owner >= 0).reshape(
-            self.replications, self.num_channels, self.num_vcs
-        )
-        return owned.sum(axis=2)

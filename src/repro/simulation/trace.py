@@ -1,20 +1,22 @@
-"""Trace-diff parity harness: per-cycle digests of array-backend state.
+"""Trace-diff invariance harness: per-cycle digests of array-backend state.
 
-The array backend has two interchangeable kernels — the numpy passes and
-the compiled C megakernel — whose *results* are asserted bit-identical.
-Result equality alone is a weak oracle: two kernels could diverge
-mid-run and reconverge, or diverge only in state the results never read.
-:func:`state_digest` closes that gap by hashing the complete mutable
-state of an :class:`~repro.simulation.kernels.ArraySimulator` (VC words,
-message pool, pending/ejection/free lists, RNG cursors, metric and
-channel-load accumulators) into one SHA-256, and :func:`run_digests` collects the
-digest after every cycle, so a parity test can pinpoint the exact first
-cycle where two backends disagree.
+The array backend's cycle loop promises the same bits however it is
+driven: one :meth:`~repro.simulation.kernels.ArraySimulator.run` call or
+cycle-by-cycle :meth:`~repro.simulation.kernels.ArraySimulator.step`
+calls, probes and profiling on or off, the message pool grown mid-run
+or up front.  Result equality alone is a weak oracle: two drives could
+diverge mid-run and reconverge, or diverge only in state the results
+never read.  :func:`state_digest` closes that gap by hashing the
+complete mutable state of an ``ArraySimulator`` (VC words, message pool,
+pending/ejection/free lists, generation cursors, metric and
+channel-load accumulators) into one SHA-256, and :func:`run_digests`
+collects the digest after every cycle, so an invariance test can
+pinpoint the exact first cycle where two drives disagree.
 
 Only deterministically-ordered state is hashed: the pending list is read
 up to its live length (the compaction leftovers beyond ``need_n`` are
-scratch and may legitimately differ between kernels), ejection columns
-up to the live count, and each free stack up to its depth.
+scratch), ejection columns up to the live count, and each free stack up
+to its depth.
 """
 
 from __future__ import annotations
@@ -53,10 +55,9 @@ _STATE_FIELDS = (
     "p_head_vc",
 )
 
-#: Simulator-side accumulator arrays hashed in full.  The generation
-#: state (pre-drawn blocks, cursors, per-node next arrivals, source-queue
-#: links, activation bitmap) is included so the digests also pin the
-#: resident C loop and the per-cycle driver to the same bits.
+#: Simulator-side arrays hashed in full, generation state (pre-drawn
+#: blocks, cursors, per-node next arrivals, source-queue links,
+#: activation bitmap) included.
 _SIM_FIELDS = (
     "_ej_pos",
     "_alloc_pos",
@@ -115,7 +116,6 @@ def state_digest(sim: ArraySimulator) -> str:
                 sim._busy_vcs,
                 sim._need_total,
                 sim._ejecting_count,
-                sim._next_arrival,
             )
         ).encode()
     )
@@ -125,10 +125,8 @@ def state_digest(sim: ArraySimulator) -> str:
 def run_digests(sim: ArraySimulator, cycles: int) -> list[str]:
     """Step ``cycles`` times, returning the post-cycle digest of each.
 
-    The digest is taken after the *complete* cycle — compiled kernel
-    call plus any Python post-processing (route-row fills, activation
-    bookkeeping) — which is exactly the boundary at which the numpy and
-    C paths promise bit-identical state.
+    The digest is taken after each *complete* cycle, the boundary at
+    which every way of driving the loop promises bit-identical state.
     """
     out = []
     for _ in range(cycles):

@@ -45,11 +45,6 @@ class SpatialPattern(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether :meth:`destinations_block` draws may be buffered ahead of
-    #: use.  True for pure functions of (src, rng); patterns with shared
-    #: mutable state across sources (trace replay) must opt out.
-    block_safe: bool = True
-
     def __init__(self, num_nodes: int):
         if num_nodes < 2:
             raise ConfigurationError(
@@ -280,17 +275,14 @@ class TraceSpatial(SpatialPattern):
     an object ``{"pairs": [[src, dst], ...]}``.  Each source cycles
     through its recorded destinations in order; sources absent from the
     trace fall back to uniform.  The model sees the per-source empirical
-    destination frequencies.
+    destination frequencies.  The cursors make an instance stateful, so
+    independent replications each need their own instance.
 
     Note: campaign content hashes key on the trace *path*, not its
     contents — edit-in-place invalidation is the operator's job.
     """
 
     name = "trace"
-
-    #: Each pop advances a shared per-source cursor; buffering a block
-    #: ahead of consumption would reorder the replay.
-    block_safe = False
 
     def __init__(self, num_nodes: int, path: str = ""):
         super().__init__(num_nodes)

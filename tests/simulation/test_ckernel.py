@@ -1,12 +1,14 @@
-"""Compiled-kernel loading: cache, opt-out, and compile-failure fallback."""
+"""Compiled-kernel loading: cache, and the loud no-compiler policy."""
 
-import warnings
+import os
+import tempfile
 
 import pytest
 
 from repro.routing import EnhancedNbc
-from repro.simulation import ArraySimulator, SimulationConfig
+from repro.simulation import SimulationConfig, simulate
 from repro.simulation import ckernel
+from repro.utils.exceptions import ConfigurationError
 
 
 @pytest.fixture
@@ -19,24 +21,16 @@ def fresh_cache(monkeypatch, tmp_path):
     ckernel._cached = saved
 
 
-class TestCompileFailureFallback:
-    def test_broken_compiler_warns_once_then_stays_silent(
+class TestNoCompiler:
+    def test_array_engine_refuses_and_object_engine_runs(
         self, fresh_cache, monkeypatch, star3
     ):
-        """No working cc: one RuntimeWarning, then the numpy path runs."""
+        """No working cc: the array engine raises and names the object
+        engine — it must never quietly run a substitute, whose results
+        would then pose as array-engine results."""
         monkeypatch.setattr(ckernel, "_compiler", lambda: None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
-        relevant = [w for w in caught if w.category is RuntimeWarning]
-        assert len(relevant) == 1
-        assert "falling back" in str(relevant[0].message)
-        # Subsequent loads are silent — the failure is cached.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
-        assert not caught
-        # The array backend still works, on the numpy path.
+        assert ckernel.load_kernel() is None
+        assert ckernel.kernel_error() == "no working C compiler"
         cfg = SimulationConfig(
             message_length=16,
             generation_rate=0.01,
@@ -46,21 +40,11 @@ class TestCompileFailureFallback:
             drain_cycles=800,
             seed=3,
         )
-        sim = ArraySimulator(star3, EnhancedNbc(), cfg)
-        assert sim._ck is None
-        res = sim.run()
-        assert len(res) == 1
-        assert res[0].messages_generated > 0
-
-
-class TestOptOut:
-    def test_env_opt_out_is_silent(self, fresh_cache, monkeypatch):
-        """STARNET_NO_CKERNEL=1 is a deliberate choice: no warning."""
-        monkeypatch.setenv("STARNET_NO_CKERNEL", "1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert ckernel.load_kernel() is None
-        assert not caught
+        with pytest.raises(ConfigurationError, match="engine='object'") as info:
+            simulate(star3, EnhancedNbc(), cfg, engine="array")
+        assert "no working C compiler" in str(info.value)
+        res = simulate(star3, EnhancedNbc(), cfg, engine="object")
+        assert res.messages_generated > 0
 
 
 @pytest.mark.skipif(ckernel._compiler() is None, reason="no C compiler")
@@ -68,6 +52,35 @@ class TestRealBuild:
     def test_load_compile_and_cache(self, fresh_cache):
         fn = ckernel.load_kernel()
         assert fn is not None
+        assert ckernel.kernel_error() is None
         # Second call hits the process cache (same object).
         assert ckernel.load_kernel() is fn
-        assert ckernel.load_bundle()._fields == ("cycle", "run")
+        assert ckernel.load_bundle() is fn
+        assert fn.__name__ == "starnet_run"
+
+
+class TestUnwritableCacheDir:
+    """A cache directory that cannot be written (a read-only home) sends
+    the build to a private per-user directory under the temp dir."""
+
+    @pytest.fixture
+    def blocked_cache(self, fresh_cache, monkeypatch, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("STARNET_CKERNEL_DIR", str(blocker / "kcache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path / f"starnet-repro-{os.getuid()}"
+
+    @pytest.mark.skipif(ckernel._compiler() is None, reason="no C compiler")
+    def test_builds_in_private_temp_dir(self, blocked_cache):
+        fn = ckernel.load_kernel()
+        assert fn is not None, ckernel.kernel_error()
+        assert [p.suffix for p in blocked_cache.iterdir()] == [".so"]
+        assert blocked_cache.stat().st_mode & 0o777 == 0o700
+
+    def test_refuses_a_shared_temp_dir(self, blocked_cache, monkeypatch):
+        monkeypatch.setattr(ckernel, "_compiler", lambda: "cc")
+        blocked_cache.mkdir()
+        blocked_cache.chmod(0o777)
+        assert ckernel.load_kernel() is None
+        assert "not a private directory" in ckernel.kernel_error()

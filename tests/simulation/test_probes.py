@@ -1,10 +1,10 @@
-"""In-kernel time-series probes: opt-in, observational, path-identical.
+"""In-kernel time-series probes: opt-in, observational, drive-identical.
 
 The contract under test (see docs/observability.md): ``probe_interval=k``
 attaches an aggregate time-series dict to the batch's first result, the
-default stays ``None`` on every path, probing never changes a single
-simulation output, and the C megakernel and the numpy fallback write
-bit-identical samples.
+default stays ``None``, probing never changes a single simulation
+output, and a run driven partly by ``step()`` writes the same samples as
+one ``run()`` call.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.routing import EnhancedNbc
 from repro.simulation import ArraySimulator, simulate_batch
 from repro.simulation.ckernel import load_kernel
+from repro.simulation.trace import state_digest
 
 SERIES_KEYS = {
     "interval",
@@ -97,41 +98,31 @@ class TestProbeSchema:
 
 
 class TestProbesAreObservational:
-    """Probing on must be bit-identical to probing off, on every path."""
-
-    def _pair(self, star4, cfg, *, no_resident=False):
-        def run(**kw):
-            sim = ArraySimulator(star4, EnhancedNbc(), cfg, **kw)
-            sim._no_resident = no_resident
-            return sim.run()[0]
-
-        plain = run()
-        probed = run(probe_interval=25)
-        _results_equal(plain, probed)
-        return probed
+    """Probing on must be bit-identical to probing off, however driven."""
 
     def test_resident_c_loop(self, star4, quick_sim_config):
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
-        probed = self._pair(star4, quick_sim_config)
+        plain = ArraySimulator(star4, EnhancedNbc(), quick_sim_config).run()[0]
+        probed = ArraySimulator(
+            star4, EnhancedNbc(), quick_sim_config, probe_interval=25
+        ).run()[0]
+        _results_equal(plain, probed)
         assert probed.timeseries is not None
 
     def test_per_cycle_c_path(self, star4, quick_sim_config):
+        """``step()``-driven cycles: same full state probed or not."""
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
-        probed = self._pair(star4, quick_sim_config, no_resident=True)
-        assert probed.timeseries is not None
-
-    def test_numpy_fallback(self, star4, quick_sim_config):
         plain = ArraySimulator(star4, EnhancedNbc(), quick_sim_config)
-        plain._ck_bundle = None
-        plain._ck = None
         probed = ArraySimulator(
             star4, EnhancedNbc(), quick_sim_config, probe_interval=25
         )
-        probed._ck_bundle = None
-        probed._ck = None
-        _results_equal(plain.run()[0], probed.run()[0])
+        for _ in range(400):
+            plain.step()
+            probed.step()
+        assert state_digest(plain) == state_digest(probed)
+        assert probed.probe_series()["cycles"][-1] == 375
 
     def test_batch_results_unchanged_by_probes(self, star4, quick_sim_config):
         plain = simulate_batch(star4, EnhancedNbc(), quick_sim_config, 3, engine="array")
@@ -143,36 +134,14 @@ class TestProbesAreObservational:
 
 
 class TestPathIdenticalSamples:
-    """The C kernel and the numpy fallback write the same samples."""
-
-    def _series(self, star4, cfg, *, force_numpy=False, no_resident=False):
-        sim = ArraySimulator(star4, EnhancedNbc(), cfg, probe_interval=25)
-        sim._no_resident = no_resident
-        if force_numpy:
-            sim._ck_bundle = None
-            sim._ck = None
-        return sim.run()[0].timeseries
-
-    def test_resident_c_matches_numpy(self, star4, quick_sim_config):
-        if load_kernel() is None:
-            pytest.skip("compiled kernel unavailable")
-        assert self._series(star4, quick_sim_config) == self._series(
-            star4, quick_sim_config, force_numpy=True
-        )
-
-    def test_per_cycle_c_matches_numpy(self, star4, quick_sim_config):
-        if load_kernel() is None:
-            pytest.skip("compiled kernel unavailable")
-        assert self._series(star4, quick_sim_config, no_resident=True) == self._series(
-            star4, quick_sim_config, force_numpy=True
-        )
+    """Stepping part of the run writes the same samples as run() alone."""
 
     def test_multi_replication_series_match(self, star4, quick_sim_config):
         if load_kernel() is None:
             pytest.skip("compiled kernel unavailable")
         kw = dict(probe_interval=30, seeds=(3, 4, 5))
-        c_sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
-        np_sim = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
-        np_sim._ck_bundle = None
-        np_sim._ck = None
-        assert c_sim.run()[0].timeseries == np_sim.run()[0].timeseries
+        whole = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
+        stepped = ArraySimulator(star4, EnhancedNbc(), quick_sim_config, **kw)
+        for _ in range(quick_sim_config.warmup_cycles):
+            stepped.step()
+        assert whole.run()[0].timeseries == stepped.run()[0].timeseries

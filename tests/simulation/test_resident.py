@@ -1,13 +1,13 @@
-"""The resident C loop on S5: parity, residency and callback failures.
+"""The resident C loop on S5: residency, drive invariance, callback failures.
 
 ``starnet_run`` services route-row fills (callback kind 2) and uniform-
 buffer shortages (kind 4) inside the loop and samples channel load in
-C, so on the paper's 120-node star it returns to Python only for stops
-and message-pool/ejection-row growth.  These tests pin that contract
-with the driver's own event counters, check that the three array paths
-(resident loop, per-cycle C driver, numpy passes) still end in the same
-bits, and that a Python exception raised inside a route-row callback
-surfaces unchanged from both C drivers without pinning the simulator.
+C, so on the paper's 120-node star :meth:`ArraySimulator.run` returns to
+Python only for stops and message-pool growth.  These tests pin that
+contract with the driver's own event counters, check that a run driven
+partly by ``step()`` ends in the same bits as one ``run()`` call, and
+that a Python exception raised inside a route-row callback surfaces
+unchanged without pinning the simulator.
 """
 
 import gc
@@ -62,36 +62,34 @@ class TestS5Residency:
     @pytest.fixture(scope="class")
     def runs(self, star5):
         out = {}
-        for path in ("resident", "per_cycle", "numpy"):
+        for path in ("resident", "stepped"):
             sim = ArraySimulator(star5, EnhancedNbc(), s5_config(), seeds=SEEDS)
-            if path == "per_cycle":
-                sim._no_resident = True
-            elif path == "numpy":
-                sim._ck_bundle = None
-                sim._ck = None
-            cap0, rows0 = sim.state.capacity, sim._ej_cap_rows
+            cap0 = sim.state.capacity
             fills = _counting(sim, "_fill_route")
             refills = _counting(sim, "_ensure_uniforms")
+            if path == "stepped":
+                # The warmup one cycle per step() call, then run():
+                # no replication can stop before its horizon.
+                for _ in range(s5_config().warmup_cycles):
+                    sim.step()
             results = sim.run()
             out[path] = {
                 "results": [r.as_dict() for r in results],
+                "stops": len({r.cycles_run for r in results}),
                 "digest": state_digest(sim),
                 "profile": sim.phase_profile(),
-                "growths": (sim.state.capacity // cap0).bit_length() - 1
-                + (sim._ej_cap_rows // rows0).bit_length() - 1,
+                "growths": (sim.state.capacity // cap0).bit_length() - 1,
                 "fills": fills[0],
                 "refills": refills[0],
             }
         return out
 
     def test_results_identical_on_all_paths(self, runs):
-        assert runs["resident"]["results"] == runs["numpy"]["results"]
-        assert runs["per_cycle"]["results"] == runs["numpy"]["results"]
+        assert runs["stepped"]["results"] == runs["resident"]["results"]
         assert runs["resident"]["profile"]["cycles"] >= 2_000
 
     def test_state_digest_identical_on_all_paths(self, runs):
-        assert runs["resident"]["digest"] == runs["numpy"]["digest"]
-        assert runs["per_cycle"]["digest"] == runs["numpy"]["digest"]
+        assert runs["stepped"]["digest"] == runs["resident"]["digest"]
 
     def test_returns_only_for_stops_and_growth(self, runs):
         run = runs["resident"]
@@ -99,15 +97,18 @@ class TestS5Residency:
         # Route-row fills and uniform refills really happened, as callbacks.
         assert run["fills"] > 100 and run["refills"] > 0
         assert prof["callbacks"] >= run["fills"]
-        # Every punt grows the message pool or the ejection rows (each
-        # growth doubles), and every other return stops a replication.
-        assert prof["punts"] <= run["growths"]
-        assert prof["returns"] - prof["punts"] <= len(SEEDS)
+        # One return per stop cycle (replications stopping together
+        # share it) and one per message-pool growth (each doubles).
+        assert prof["returns"] - run["stops"] <= run["growths"]
+        assert prof["returns"] == run["stops"] + run["growths"]
 
     def test_per_cycle_driver_never_returns_from_the_loop(self, runs):
-        prof = runs["per_cycle"]["profile"]
-        assert prof["returns"] == prof["punts"] == 0
-        assert prof["callbacks"] > 0  # ready-event route-row fills
+        """``step()``'s one-cycle kernel calls are not counted as
+        returns: the counter means stops and pool growths only."""
+        stepped = runs["stepped"]
+        resident = runs["resident"]
+        assert stepped["profile"]["returns"] == resident["profile"]["returns"]
+        assert stepped["profile"]["callbacks"] == resident["profile"]["callbacks"]
 
 
 class Boom(RuntimeError):
@@ -138,18 +139,19 @@ def _raise_in_callback(algorithm, after):
 
 @needs_kernel
 class TestCallbackExceptions:
-    @pytest.mark.parametrize("no_resident", [False, True], ids=["resident", "per_cycle"])
-    def test_kind2_exception_propagates_and_frees_sim(
-        self, star4, no_resident
-    ):
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    def test_kind2_exception_propagates_and_frees_sim(self, star4, drive):
         algorithm = EnhancedNbc()
         sim = ArraySimulator(
             star4, algorithm, s5_config(generation_rate=0.01), seeds=SEEDS
         )
-        sim._no_resident = no_resident
         raised = _raise_in_callback(algorithm, after=40)
         with pytest.raises(Boom) as info:
-            sim.run()
+            if drive == "run":
+                sim.run()
+            else:
+                while True:
+                    sim.step()
         assert info.value is raised[0]
         assert sim._cb_exc is None  # handed over, not kept
         ref = weakref.ref(sim)

@@ -82,14 +82,15 @@ def test_class_table_matches_eligible(name, topo):
     assert invalid < table.shape[0] * table.shape[1] * table.shape[2]
 
 
-@pytest.mark.parametrize("path", ["default", "numpy"])
+@pytest.mark.parametrize("path", ["default", "stepped"])
 def test_route_rows_match_topology_and_ports(star4, path):
     algorithm = make_algorithm("enhanced_nbc")
     sim = ArraySimulator(star4, algorithm, small_config(), seeds=(1, 2))
-    if path == "numpy":
-        sim._ck_bundle = None
-        sim._ck = None
-    sim.run()
+    if path == "stepped":
+        for _ in range(small_config().horizon):
+            sim.step()
+    else:
+        sim.run()
     N = star4.num_nodes
     rows = sim._route.reshape(N, N, sim._route_w)
     filled = 0
@@ -115,7 +116,7 @@ def test_array_engine_refuses_networks_above_2048_nodes():
         )
 
 
-@pytest.mark.parametrize("path", ["default", "numpy"])
+@pytest.mark.parametrize("path", ["default", "stepped"])
 def test_ineligible_state_is_an_invariant_failure(star4, path):
     """A header whose floor the class table rejects stops the run loudly
     (the floor invariant makes this unreachable for stock algorithms)."""
@@ -127,9 +128,48 @@ def test_ineligible_state_is_an_invariant_failure(star4, path):
     algorithm.eligible = reject
     sim = ArraySimulator(star4, algorithm, small_config())
     assert np.all(sim._cls == -1)
-    if path == "numpy":
-        sim._ck_bundle = None
-        sim._ck = None
-    with pytest.raises(SimulationError):
-        sim.run()
+    with pytest.raises(SimulationError, match="invariant failure"):
+        if path == "stepped":
+            while True:
+                sim.step()
+        else:
+            sim.run()
 
+
+
+def test_array_engine_refuses_overridden_advance_floor(star4):
+    """The kernel inlines the stock floor arithmetic: an algorithm that
+    overrides advance_floor must run on the object engine instead."""
+    from repro.routing import EnhancedNbc
+
+    class Sticky(EnhancedNbc):
+        def advance_floor(self, cfg, state, used_vc_index, hop_negative):
+            state.hops_taken += 1
+
+    with pytest.raises(ConfigurationError, match="engine='object'"):
+        ArraySimulator(star4, Sticky(), small_config())
+
+
+def test_wide_candidate_set_stays_in_the_loop():
+    """deg * V > 512 candidate VCs: the allocation scratch is sized from
+    the configuration, so the run completes in the resident loop with no
+    Python cycle (step() is never called by run())."""
+    topology = Hypercube(9)  # degree 9
+    algorithm = make_algorithm("enhanced_nbc")
+    cfg = small_config(
+        total_vcs=60,
+        message_length=4,
+        generation_rate=0.002,
+        warmup_cycles=50,
+        measure_cycles=150,
+        drain_cycles=200,
+    )
+    sim = ArraySimulator(topology, algorithm, cfg)
+    assert topology.degree * cfg.total_vcs > 512
+    steps = [0]
+    step = sim.step
+    sim.step = lambda *a: (steps.__setitem__(0, steps[0] + 1), step(*a))
+    result = sim.run()[0]
+    assert steps[0] == 0
+    assert result.messages_completed > 0
+    assert sim.phase_profile()["returns"] >= 1

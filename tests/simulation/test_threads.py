@@ -69,7 +69,6 @@ class TestSimulatorLifetime:
             sim = ArraySimulator(
                 star3, EnhancedNbc(), small_config(measure_cycles=500)
             )
-            assert sim._resident_ok()
             sim.run()
             ref = weakref.ref(sim)
             del sim

@@ -1,8 +1,14 @@
-"""Tests for the engine's no-progress watchdog and small-worm edge cases."""
+"""Tests for the engine's no-progress watchdog and small-worm edge cases.
+
+Allocation is wedged through the public routing interface: an algorithm
+whose ``eligible()`` sets are empty never lets a header claim a VC, on
+either engine.
+"""
 
 import pytest
 
 from repro.routing import EnhancedNbc
+from repro.routing.base import EligibleSet
 from repro.simulation import (
     ArraySimulator,
     SimulationConfig,
@@ -11,6 +17,15 @@ from repro.simulation import (
 )
 from repro.simulation import engine as engine_mod
 from repro.utils.exceptions import SimulationError
+
+
+class Wedged(EnhancedNbc):
+    """Enhanced-NBC with no eligible VC anywhere: allocation always fails."""
+
+    name = "wedged"
+
+    def eligible(self, cfg, d_remaining, hop_negative, state):
+        return EligibleSet(adaptive=range(0), escape=range(0))
 
 
 class TestWatchdog:
@@ -25,9 +40,8 @@ class TestWatchdog:
             drain_cycles=100_000,
             seed=0,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
+        sim = WormholeSimulator(star4, Wedged(), cfg)
         monkeypatch.setattr(engine_mod, "_WATCHDOG_GRACE", 200)
-        monkeypatch.setattr(sim, "_choose_vc", lambda msg: None)
         with pytest.raises(SimulationError, match="no progress"):
             sim.run()
 
@@ -59,8 +73,7 @@ class TestConfigurableGrace:
             seed=0,
             watchdog_grace=150,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        sim._choose_vc = lambda msg: None  # wedge allocation
+        sim = WormholeSimulator(star4, Wedged(), cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             sim.run()
 
@@ -75,8 +88,7 @@ class TestConfigurableGrace:
             drain_cycles=100_000,
             seed=0,
         )
-        sim = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        sim._choose_vc = lambda msg: None
+        sim = WormholeSimulator(star4, Wedged(), cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             sim.run()
 
@@ -125,13 +137,11 @@ class TestWatchdogBackendParity:
         engines' watchdogs with the same configured grace."""
         cfg = self._wedged_config()
 
-        obj = WormholeSimulator(star4, EnhancedNbc(), cfg)
-        obj._choose_vc = lambda msg: None
+        obj = WormholeSimulator(star4, Wedged(), cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             obj.run()
 
-        arr = ArraySimulator(star4, EnhancedNbc(), cfg)
-        arr._choose_vc = lambda rep, slot: None
+        arr = ArraySimulator(star4, Wedged(), cfg)
         with pytest.raises(SimulationError, match="no progress for 150 cycles"):
             arr.run()
 
@@ -141,14 +151,10 @@ class TestWatchdogBackendParity:
         cadence, so its report may trail by at most that granularity."""
         cfg = self._wedged_config()
         cycles = {}
-        for name, sim, wedge in (
-            ("object", WormholeSimulator(star4, EnhancedNbc(), cfg), "msg"),
-            ("array", ArraySimulator(star4, EnhancedNbc(), cfg), "rep"),
+        for name, sim in (
+            ("object", WormholeSimulator(star4, Wedged(), cfg)),
+            ("array", ArraySimulator(star4, Wedged(), cfg)),
         ):
-            if wedge == "msg":
-                sim._choose_vc = lambda msg: None
-            else:
-                sim._choose_vc = lambda rep, slot: None
             with pytest.raises(SimulationError) as err:
                 sim.run()
             cycles[name] = int(str(err.value).split("at cycle ")[1].split()[0])
@@ -157,8 +163,7 @@ class TestWatchdogBackendParity:
     def test_module_default_governs_both(self, star4, monkeypatch):
         monkeypatch.setattr(engine_mod, "_WATCHDOG_GRACE", 200)
         cfg = self._wedged_config(watchdog_grace=None)
-        arr = ArraySimulator(star4, EnhancedNbc(), cfg)
-        arr._choose_vc = lambda rep, slot: None
+        arr = ArraySimulator(star4, Wedged(), cfg)
         with pytest.raises(SimulationError, match="no progress for 200 cycles"):
             arr.run()
 

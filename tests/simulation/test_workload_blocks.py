@@ -8,6 +8,8 @@ are independent of block size — and a replication inside a heterogeneous
 batch is bit-identical to the same config run alone.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -61,14 +63,27 @@ _TEMPORAL_PARAMS = {
     "batch": {"size": 3},
 }
 
-#: Spatial patterns with per-draw RNG use, and the params they need.
+#: Spatial patterns and the params they need (trace: a file, below).
 _SPATIAL_PARAMS = {
     "uniform": {},
     "hotspot": {},
     "locality": {},
     "permutation": {},
     "shift": {"offset": 5},
+    "trace": {},
 }
+
+
+def write_trace(path, num_nodes):
+    """A replay trace: even sources cycle through three recorded
+    destinations, odd sources are absent (uniform fallback)."""
+    pairs = [
+        [s, (s + k) % num_nodes]
+        for s in range(0, num_nodes, 2)
+        for k in (1, 5, 11)
+    ]
+    path.write_text(json.dumps({"pairs": pairs}))
+    return str(path)
 
 
 class TestTemporalBlockParity:
@@ -97,25 +112,28 @@ class TestTemporalBlockParity:
 
 class TestSpatialBlockParity:
     @pytest.mark.parametrize("name", sorted(_SPATIAL_PARAMS))
-    def test_destinations_block_matches_scalar_stream(self, name, star4):
-        pattern = make_spatial(
-            name, topology=star4, params=_SPATIAL_PARAMS[name]
+    @pytest.mark.parametrize("src", [3, 4])
+    def test_destinations_block_matches_scalar_stream(
+        self, name, src, star4, tmp_path
+    ):
+        params = dict(_SPATIAL_PARAMS[name])
+        if name == "trace":
+            params["path"] = write_trace(tmp_path / "trace.json", star4.num_nodes)
+        scalar, block = (
+            make_spatial(name, topology=star4, params=params) for _ in range(2)
         )
-        if not pattern.block_safe:
-            pytest.skip("pattern opts out of block buffering")
-        src = 3
         scalar_rng = np.random.default_rng(99)
         block_rng = np.random.default_rng(99)
-        expected = [pattern.destination(src, scalar_rng) for _ in range(200)]
-        got = pattern.destinations_block(
+        expected = [scalar.destination(src, scalar_rng) for _ in range(200)]
+        got = block.destinations_block(
             src, 64, block_rng
-        ) + pattern.destinations_block(src, 136, block_rng)
+        ) + block.destinations_block(src, 136, block_rng)
         assert got == expected
         assert src not in got
 
     def test_spatial_coverage(self):
-        """Every block-safe registered pattern is exercised above."""
-        assert set(_SPATIAL_PARAMS) <= set(available_spatial())
+        """Every registered pattern is exercised above."""
+        assert set(_SPATIAL_PARAMS) == set(available_spatial())
 
 
 class TestBlockSizeInvariance:
@@ -152,6 +170,21 @@ class TestRaggedBatchInvariance:
             assert got.latency_ci == solo.latency_ci or (
                 np.isnan(got.latency_ci) and np.isnan(solo.latency_ci)
             )
+
+    def test_trace_batch_matches_solo(self, star4, tmp_path):
+        """Trace replay keeps a cursor per source; one pattern per
+        replication keeps batch companions from advancing each other's
+        cursors."""
+        path = write_trace(tmp_path / "trace.json", star4.num_nodes)
+        cfg = small_config(
+            seed=1, generation_rate=0.006, workload=f"trace(path={path})"
+        )
+        solo = ArraySimulator(star4, EnhancedNbc(), cfg).run()[0]
+        batched = ArraySimulator(star4, EnhancedNbc(), cfg, seeds=(1, 2)).run()[0]
+        assert batched.messages_generated == solo.messages_generated
+        assert batched.messages_completed == solo.messages_completed
+        assert batched.cycles_run == solo.cycles_run
+        assert batched.mean_latency == pytest.approx(solo.mean_latency, rel=1e-12)
 
     def test_simulate_many_matches_solo_and_object_order(self, star4):
         configs = [
