@@ -37,7 +37,7 @@ from repro.api.convert import row_from_unit
 from repro.api.quality import QUALITY_WINDOWS, quality_for_windows, quality_windows
 from repro.api.results import ResultSet
 from repro.campaign.grid import WorkUnit, canonical_key, parse_axis_values
-from repro.campaign.runner import CampaignResult, pool_choice, run_campaign
+from repro.campaign.runner import run_campaign
 from repro.core.spec import ModelSpec
 from repro.core.solver import SolverSettings
 from repro.simulation.config import SimulationConfig
@@ -59,41 +59,10 @@ _BOUND_ENGINE = "bound"
 _SIM_ENGINES = ("object", "array")
 
 
-def run_units(
-    units: Sequence[WorkUnit],
-    *,
-    workers: int = 1,
-    executor: str = "processes",
-    store=None,
-    resume: bool = False,
-    cache_dir=None,
-    progress=None,
-    events=None,
-    trace=None,
-) -> CampaignResult:
-    """Run campaign work units — the facade's one execution funnel.
-
-    A thin, stable alias of :func:`repro.campaign.runner.run_campaign`;
-    the CLI and the Scenario methods all execute through here.
-    ``executor="threads"`` swaps the ``workers > 1`` process pool for an
-    in-process thread pool (zero pickling; the array engine's compiled
-    kernel releases the GIL, so its units genuinely overlap).
-    ``events`` (a JSONL path or :class:`repro.obs.EventSink`) streams
-    per-unit lifecycle telemetry; ``trace`` (a
-    :class:`repro.obs.TraceContext`) links the run's spans into a
-    caller's trace — see ``docs/observability.md``.
-    """
-    return run_campaign(
-        units,
-        workers=workers,
-        executor=executor,
-        store=store,
-        resume=resume,
-        cache_dir=cache_dir,
-        progress=progress,
-        events=events,
-        trace=trace,
-    )
+#: The facade's one execution funnel: the CLI and every Scenario method
+#: run campaign work units through this name, which is
+#: :func:`repro.campaign.runner.run_campaign` itself.
+run_units = run_campaign
 
 
 @dataclass(frozen=True)
@@ -440,7 +409,6 @@ class Scenario:
         *,
         replications: int = 1,
         workers: int = 1,
-        jobs: int | None = None,
         cache_dir=None,
     ) -> ResultSet:
         """Simulated latency at the given rate(s) as a ResultSet.
@@ -448,15 +416,11 @@ class Scenario:
         With ``replications > 1`` every rate becomes one pooled
         ``sim_batch`` row (seeds ``seed .. seed + R - 1``; on the array
         engine the whole batch advances in one vectorized process).
-        ``jobs > 1`` runs the rate points concurrently on in-process
-        threads instead of the ``workers`` process pool.
+        ``workers > 1`` runs the rate points on that many processes.
         """
         rates = _rate_tuple(rates)
         units = [self.sim_unit(r, replications=replications) for r in rates]
-        width, executor = pool_choice(workers, jobs)
-        result = run_units(
-            units, workers=width, executor=executor, cache_dir=cache_dir
-        )
+        result = run_units(units, workers=workers, cache_dir=cache_dir)
         return ResultSet(
             row_from_unit(u, r) for u, r in zip(result.units, result.results)
         )
@@ -467,7 +431,6 @@ class Scenario:
         *,
         replications: int = 1,
         workers: int = 1,
-        jobs: int | None = None,
         store=None,
         resume: bool = False,
         cache_dir=None,
@@ -492,12 +455,12 @@ class Scenario:
         stores, so ``store=``/``resume=`` interoperate with existing
         JSONL stores.
 
-        ``jobs > 1`` parallelises in-process on threads: the fused
-        in-process path runs its batched groups concurrently, and the
-        store/resume/cache path swaps the process pool for the thread
-        executor (``jobs`` and ``workers`` are mutually exclusive).
-        ``jobs`` never enters unit keys — it is a resource knob, and
-        results are identical for every value.
+        With the defaults (no store, no resume, no cache, ``workers=1``)
+        the sweep runs in this process and fuses compatible array-engine
+        sim units into batched simulations.  ``workers > 1`` dispatches
+        unit by unit to that many worker processes instead.  ``workers``
+        never enters unit keys — it is a resource knob, and results are
+        identical for every value.
         """
         if "rate" not in axes:
             raise ConfigurationError("sweep needs a 'rate' axis")
@@ -544,15 +507,13 @@ class Scenario:
             # process pools keep the per-unit campaign path.
             from repro.campaign.kinds import run_units_fused
 
-            fused = run_units_fused(units, progress=progress, jobs=jobs)
+            fused = run_units_fused(units, progress=progress)
             return ResultSet(
                 row_from_unit(u, r) for u, r in zip(units, fused)
             )
-        width, executor = pool_choice(workers, jobs)
         result = run_units(
             units,
-            workers=width,
-            executor=executor,
+            workers=workers,
             store=store,
             resume=resume,
             cache_dir=cache_dir,
@@ -570,7 +531,6 @@ class Scenario:
         replications: int = 1,
         hops: bool = False,
         workers: int = 1,
-        jobs: int | None = None,
         tolerance: float | None = None,
         cache_dir=None,
     ) -> ResultSet:
@@ -592,7 +552,6 @@ class Scenario:
             replications=replications,
             hops=hops,
             workers=workers,
-            jobs=jobs,
             tolerance=tolerance,
             cache_dir=cache_dir,
         )

@@ -4,10 +4,10 @@ The paper's pitch is that the analytical model makes "large systems
 infeasible to simulate" tractable; this package makes *large scenario
 grids* tractable.  A campaign expands a declarative grid
 (topology x routing x M x V x traffic x load x seed) into content-hashed
-work units, executes them through a pluggable executor (serial or a
-process pool), streams results to an append-only JSONL store so
-interrupted runs resume instead of recompute, and shares expensive
-path-set statistics between workers through an on-disk cache.
+work units, executes them serially or on a pool of worker processes,
+streams results to an append-only JSONL store so interrupted runs
+resume instead of recompute, and shares expensive path-set statistics
+between workers through an on-disk cache.
 
 Layers
 ------
@@ -16,7 +16,7 @@ Layers
 :mod:`repro.campaign.kinds`
     The executable unit kinds (``model``, ``sim``, ``saturation``, ...).
 :mod:`repro.campaign.runner`
-    ``run_campaign`` — executors, streaming, resume.
+    ``run_campaign`` — serial or process-pool execution, streaming, resume.
 :mod:`repro.campaign.store`
     ``ResultStore`` / ``ShardedResultStore`` — append-only JSONL
     persistence with atomic locked appends and offline compaction.

@@ -33,10 +33,7 @@ Built-ins
 from __future__ import annotations
 
 import math
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Mapping
 
 from repro.campaign import cache
@@ -50,32 +47,9 @@ __all__ = [
     "lookup",
     "available_kinds",
     "fused_sim_group",
-    "resolve_jobs",
     "run_units_fused",
 ]
 
-
-def resolve_jobs(jobs: int | None) -> int:
-    """Resolve a campaign-lane count (the ``--jobs`` knob).
-
-    ``None`` means 1 (serial); ``0`` means one lane per core; explicit
-    positive counts are honoured as-is.  Invalid values raise
-    :class:`ConfigurationError` (see the "Parallelism model" section of
-    ``docs/simulation.md``).
-    """
-    if jobs is None:
-        return 1
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
-        raise ConfigurationError(
-            f"jobs must be a non-negative integer (0 = one per core), got {jobs!r}"
-        )
-    if jobs < 0:
-        raise ConfigurationError(
-            f"jobs must be >= 0 (0 = one per core), got {jobs}"
-        )
-    if jobs == 0:
-        return max(1, os.cpu_count() or 1)
-    return jobs
 
 KINDS: dict[str, Callable[[Mapping[str, Any]], Any]] = {}
 
@@ -192,9 +166,7 @@ def _run_fused_group(units: list) -> list[Any]:
     return out
 
 
-def run_units_fused(
-    units, progress=None, jobs: int | None = None, events=None, trace=None
-) -> list[Any]:
+def run_units_fused(units, progress=None, events=None, trace=None) -> list[Any]:
     """Execute work units in order, fusing compatible array sim units.
 
     The single-process, no-store counterpart of
@@ -203,16 +175,9 @@ def run_units_fused(
     structural group — a whole rate-ladder × seed grid in one SimState —
     while every other unit executes individually.  Results come back in
     unit order; ``progress(done, total)`` fires as unit results
-    materialize (a fused group completes all at once).
-
-    ``jobs > 1`` runs the fused groups (and the non-fusible units)
-    concurrently on a thread pool in this process — zero pickling, one
-    shared path-statistics cache.  The compiled cycle kernel releases
-    the GIL for the whole C-resident run, so lanes genuinely overlap
-    and ``jobs`` alone decides the core budget.  Results are
-    bit-identical to ``jobs=1`` (each lane is an independent simulation;
-    only completion order varies, and results are reassembled in unit
-    order).
+    materialize (a fused group completes all at once).  Everything runs
+    serially in this process; for parallelism use ``run_campaign`` with
+    ``workers > 1``, which dispatches unit by unit to worker processes.
 
     ``events`` (an :class:`repro.obs.EventSink` or None) receives one
     ``fused_group`` event per structural group before execution starts —
@@ -222,7 +187,6 @@ def run_units_fused(
     inside a larger trace.
     """
     units = list(units)
-    jobs = resolve_jobs(jobs)
     keys = [fused_sim_group(u) for u in units]
     groups: dict[tuple, list[int]] = {}
     for i, key in enumerate(keys):
@@ -244,44 +208,6 @@ def run_units_fused(
             "fused_plan", units=total, groups=len(groups), unfused=solo,
             **trace_fields,
         )
-
-    if jobs > 1:
-        # One task per fused group plus one per non-fusible unit.
-        lock = threading.Lock()
-        done = 0
-
-        def _advance(n: int) -> None:
-            nonlocal done
-            with lock:
-                done += n
-                if progress is not None:
-                    progress(done, total)
-
-        def _single(i: int) -> None:
-            unit = units[i]
-            results[i] = lookup(unit.kind)(unit.params)
-            _advance(1)
-
-        def _group(indices: list[int]) -> None:
-            fused = _run_fused_group([units[j] for j in indices])
-            for j, result in zip(indices, fused):
-                results[j] = result
-            _advance(len(indices))
-
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="starnet-job"
-        ) as pool:
-            futures = []
-            seen: set = set()
-            for i, key in enumerate(keys):
-                if key is None:
-                    futures.append(pool.submit(_single, i))
-                elif key not in seen:
-                    seen.add(key)
-                    futures.append(pool.submit(_group, groups[key]))
-            for future in futures:
-                future.result()
-        return results
 
     done = 0
     started: set = set()

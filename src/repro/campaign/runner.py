@@ -1,16 +1,10 @@
-"""Campaign execution: pluggable executors, streaming store, resume.
+"""Campaign execution: serial or process-pool, streaming store, resume.
 
-:func:`run_campaign` takes an iterable of work units and drives them
-through the in-process serial executor, a
-:class:`concurrent.futures.ProcessPoolExecutor`
-(``executor="processes"``, the default), or a
-:class:`concurrent.futures.ThreadPoolExecutor` (``executor="threads"``).
-The thread executor runs every unit in this process — zero pickling,
-one shared read-only path-statistics cache — and pays off when units
-spend their time inside the compiled array kernel, which releases the
-GIL for the whole C-resident run; pure-Python units (model solves,
-object-engine sims) still contend for the GIL and belong on the process
-pool.  Completed units stream to an optional
+:func:`run_campaign` takes an iterable of work units and runs them
+serially in this process (``workers=1``) or on a
+:class:`concurrent.futures.ProcessPoolExecutor` of ``workers``
+processes, the only source of parallelism (docs/simulation.md,
+"Parallelism model", says why).  Completed units stream to an optional
 :class:`~repro.campaign.store.ResultStore` as they finish (completion
 order), so killing a campaign loses at most the units in flight; a
 ``resume=True`` rerun loads the store first and skips every unit whose
@@ -26,49 +20,22 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.campaign import cache
 from repro.campaign.grid import WorkUnit
-from repro.campaign.kinds import lookup, resolve_jobs
+from repro.campaign.kinds import lookup
 from repro.campaign.store import ResultStore, open_store
 from repro.obs import EventSink, Heartbeat, TraceContext, emit_span
 from repro.utils.exceptions import ConfigurationError
 
-__all__ = ["CampaignResult", "pool_choice", "run_campaign", "to_payload"]
+__all__ = ["CampaignResult", "run_campaign", "to_payload"]
 
 #: Upper bound on futures kept in flight per pool worker.
 _BACKLOG_PER_WORKER = 4
-
-#: Executor names :func:`run_campaign` accepts for ``workers > 1``.
-_EXECUTORS = ("processes", "threads")
-
-
-def pool_choice(workers: int, jobs: int | None) -> tuple[int, str]:
-    """Map the ``(workers, jobs)`` knob pair onto ``(width, executor)``.
-
-    ``workers`` names the historical process-pool width; ``jobs`` the
-    in-process thread-lane count (``0`` = one per core, ``None`` = off).
-    They are alternative spellings of "how wide", so asking for both
-    raises :class:`ConfigurationError`.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and workers > 1:
-        raise ConfigurationError(
-            "choose either workers (process pool) or jobs (in-process "
-            "threads), not both"
-        )
-    if jobs > 1:
-        return jobs, "threads"
-    return workers, "processes"
 
 
 def to_payload(result: Any) -> Any:
@@ -156,7 +123,6 @@ def run_campaign(
     units: Iterable[WorkUnit],
     *,
     workers: int = 1,
-    executor: str = "processes",
     store: ResultStore | str | Path | None = None,
     resume: bool = False,
     cache_dir: str | Path | None = None,
@@ -170,13 +136,8 @@ def run_campaign(
     Parameters
     ----------
     workers:
-        1 runs serially in-process; > 1 fans out over ``executor``.
-    executor:
-        ``"processes"`` (default) uses a process pool — full isolation,
-        pickling per unit.  ``"threads"`` uses an in-process thread
-        pool: zero pickling and one shared cache, but it has not beaten
-        a serial run on any measured campaign, array-engine units
-        included (docs/simulation.md, "Parallelism model").
+        1 runs serially in-process; > 1 fans out over a pool of that
+        many worker processes (full isolation, pickling per unit).
     store:
         A :class:`ResultStore`, a path to create one at, or None.
     resume:
@@ -192,11 +153,11 @@ def run_campaign(
         ``campaign_start``, per-unit ``unit_queued`` / ``unit_cached`` /
         ``unit_started`` / ``unit_finished``, periodic ``heartbeat``
         (every ``heartbeat_s`` seconds, with done/total counts and
-        executor lane occupancy) and ``campaign_end`` — one JSON object
-        per line (see ``docs/observability.md`` for the schema).  Works
-        identically on the serial, process and thread executors: every
-        event is emitted from the coordinating thread or the heartbeat
-        daemon, never from pool workers.
+        pool occupancy) and ``campaign_end`` — one JSON object per line
+        (see ``docs/observability.md`` for the schema).  Works
+        identically serially and on the process pool: every event is
+        emitted from the coordinating thread or the heartbeat daemon,
+        never from pool workers.
     trace:
         Optional :class:`~repro.obs.TraceContext` linking this campaign
         into a caller's trace (needs ``events``).  The run emits one
@@ -210,10 +171,6 @@ def run_campaign(
     unit_list = list(units)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    if executor not in _EXECUTORS:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; available: {', '.join(_EXECUTORS)}"
-        )
     the_store, owns_store = _resolve_store(store)
     the_sink, owns_sink = _resolve_events(events)
     cache_dir = str(cache_dir) if cache_dir is not None else None
@@ -244,9 +201,9 @@ def run_campaign(
 
     done_count = skipped
     total = len(unit_list)
-    #: Executor lane occupancy, written by the coordinating thread and
+    #: Pool occupancy, written by the coordinating thread and
     #: read by the heartbeat daemon (a single int slot: benign race).
-    lanes = {"in_flight": 0}
+    occupancy = {"in_flight": 0}
     t0 = time.perf_counter()
     run_ctx = trace.child() if trace is not None and the_sink is not None else None
     run_t0_ns = time.monotonic_ns()
@@ -258,7 +215,7 @@ def run_campaign(
             distinct=len(pending),
             resumed=skipped,
             workers=workers,
-            executor=executor if workers > 1 else "serial",
+            executor="processes" if workers > 1 else "serial",
             **({"trace_id": run_ctx.trace_id} if run_ctx is not None else {}),
         )
         for key, indices in pending.items():
@@ -288,7 +245,7 @@ def run_campaign(
                 fanout=len(indices),
                 done=done_count,
                 total=total,
-                in_flight=lanes["in_flight"],
+                in_flight=occupancy["in_flight"],
             )
             if run_ctx is not None:
                 dur_ns = int(unit_elapsed * 1e9)
@@ -312,23 +269,23 @@ def run_campaign(
             fields=lambda: {
                 "done": done_count,
                 "total": total,
-                "in_flight": lanes["in_flight"],
+                "in_flight": occupancy["in_flight"],
             },
         ).start()
     try:
         if workers == 1:
             for key in list(pending):
                 unit = unit_list[pending[key][0]]
-                lanes["in_flight"] = 1
+                occupancy["in_flight"] = 1
                 if the_sink is not None:
                     the_sink.emit("unit_started", key=key, kind=unit.kind)
                 result, unit_elapsed = _execute_unit(unit, cache_dir)
-                lanes["in_flight"] = 0
+                occupancy["in_flight"] = 0
                 _finish(key, result, unit_elapsed)
         else:
             _run_pool(
-                unit_list, pending, workers, cache_dir, _finish, executor,
-                sink=the_sink, lanes=lanes,
+                unit_list, pending, workers, cache_dir, _finish,
+                sink=the_sink, occupancy=occupancy,
             )
     finally:
         if heartbeat is not None:
@@ -374,11 +331,10 @@ def _run_pool(
     workers: int,
     cache_dir: str | None,
     finish: Callable[[str, Any, float], None],
-    executor: str = "processes",
     sink: EventSink | None = None,
-    lanes: dict | None = None,
+    occupancy: dict | None = None,
 ) -> None:
-    """Pool executor (processes or threads) with a bounded in-flight window.
+    """Process pool with a bounded in-flight window.
 
     Bounding the submission backlog keeps memory flat on huge grids and
     lets results stream to the store (and progress callback) in
@@ -387,23 +343,11 @@ def _run_pool(
     callback never need their own locking.
     """
     queue = list(pending)
-    if executor == "threads":
-        # In-process lanes: configure the shared cache once up front and
-        # hand the workers cache_dir=None so they never re-configure it
-        # concurrently (None leaves any prior configuration in place).
-        if cache_dir is not None:
-            cache.configure(cache_dir)
-        pool_factory = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="starnet-campaign"
-        )
-        cache_dir = None
-    else:
-        pool_factory = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_initializer,
-            initargs=(cache_dir,),
-        )
-    with pool_factory as pool:
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_pool_initializer,
+        initargs=(cache_dir,),
+    ) as pool:
         in_flight = {}
         max_in_flight = workers * _BACKLOG_PER_WORKER
         cursor = 0
@@ -413,8 +357,8 @@ def _run_pool(
                 unit = unit_list[pending[key][0]]
                 in_flight[pool.submit(_execute_unit, unit, cache_dir)] = key
                 cursor += 1
-                if lanes is not None:
-                    lanes["in_flight"] = len(in_flight)
+                if occupancy is not None:
+                    occupancy["in_flight"] = len(in_flight)
                 if sink is not None:
                     sink.emit(
                         "unit_started",
@@ -425,7 +369,7 @@ def _run_pool(
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in done:
                 key = in_flight.pop(future)
-                if lanes is not None:
-                    lanes["in_flight"] = len(in_flight)
+                if occupancy is not None:
+                    occupancy["in_flight"] = len(in_flight)
                 result, unit_elapsed = future.result()
                 finish(key, result, unit_elapsed)

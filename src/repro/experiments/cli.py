@@ -36,7 +36,7 @@ from repro.api.presets import available_presets
 from repro.api.scenario import Scenario, run_units
 from repro.campaign.grid import GridSpec
 from repro.campaign.kinds import available_kinds
-from repro.campaign.runner import pool_choice, to_payload
+from repro.campaign.runner import to_payload
 from repro.experiments import ablations
 from repro.experiments.figure1 import FIGURE1_PANELS, panel_record, render_panel, reproduce_panel
 from repro.experiments.tables import render_table
@@ -226,15 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, help="replication: adds a seed axis 0..N-1"
     )
     camp.add_argument("--workers", type=int, default=1, help="process-pool width")
-    camp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-process thread lanes instead of --workers processes "
-        "(0 = one per core); best for array-engine units, whose compiled "
-        "kernel releases the GIL",
-    )
     camp.add_argument("--out", metavar="FILE", help="JSONL result store")
     camp.add_argument(
         "--resume",
@@ -352,14 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     val.add_argument("--workers", type=int, default=1, help="process-pool width")
     val.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="in-process thread lanes instead of --workers processes "
-        "(0 = one per core); best with --engine array",
-    )
-    val.add_argument(
         "--tolerance",
         type=float,
         help="fail (exit 1) when a workload's mean relative error exceeds this",
@@ -430,14 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer cold queries without enqueueing background simulation",
     )
     srv.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="thread lanes for draining the refinement queue "
-        "(0 = one per core; queries are unaffected)",
-    )
-    srv.add_argument(
         "--trace-events",
         metavar="FILE",
         help="append span/lifecycle events as JSONL to FILE: every query "
@@ -502,15 +477,9 @@ def _run_campaign_command(args) -> int:
         print(f"starnet campaign: error: {exc}", file=sys.stderr)
         return 2
     units = grid.expand()
-    try:
-        width, executor = pool_choice(args.workers, args.jobs)
-    except ConfigurationError as exc:
-        print(f"starnet campaign: error: {exc}", file=sys.stderr)
-        return 2
     result = run_units(
         units,
-        workers=width,
-        executor=executor,
+        workers=args.workers,
         store=args.out,
         resume=args.resume,
         cache_dir=args.cache_dir,
@@ -847,7 +816,7 @@ def _run_validate_command(args) -> int:
                 raise ConfigurationError(
                     f"--preset fixes the scenario; drop {', '.join(conflicting)}"
                 )
-            jobs = [
+            suites = [
                 (
                     p.scenario,
                     (p.workload,),
@@ -859,7 +828,7 @@ def _run_validate_command(args) -> int:
             # The shared validation knobs travel as one Scenario facade;
             # the workloads become its campaign axis.
             workloads = v.pop("workload")
-            jobs = [
+            suites = [
                 (
                     _build_scenario(v),
                     tuple(workloads) if workloads else DEFAULT_WORKLOADS,
@@ -867,13 +836,12 @@ def _run_validate_command(args) -> int:
                 )
             ]
         results = []
-        for scenario, workloads, tolerance in jobs:
+        for scenario, workloads, tolerance in suites:
             for record in validate_workloads(
                 workloads,
                 scenario=scenario,
                 load_fractions=fractions,
                 workers=args.workers,
-                jobs=args.jobs,
                 tolerance=tolerance,
                 replications=v["replications"],
                 hops=args.hops,
@@ -1040,7 +1008,6 @@ def main(argv: list[str] | None = None) -> int:
                 port=args.port,
                 cache_dir=args.cache_dir,
                 refine=not args.no_refine,
-                refine_jobs=args.jobs,
                 trace_events=args.trace_events,
             )
         except ConfigurationError as exc:

@@ -131,7 +131,7 @@ class Heartbeat:
     """Periodic ``heartbeat`` events from a daemon thread.
 
     ``fields()`` is called outside any sink lock just before each emit;
-    it should return a small JSON-safe dict (progress counters, lane
+    it should return a small JSON-safe dict (progress counters, pool
     occupancy).  Use as a context manager so the thread always stops.
     """
 

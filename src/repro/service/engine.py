@@ -78,14 +78,8 @@ class QueryEngine:
         by cold evaluations and refinement workers.
     refine:
         Master switch for background refinement (a query may also opt
-        out individually).
-    refine_jobs:
-        Thread-lane count for draining the refinement queue (``starnet
-        serve --jobs``): ``None``/1 runs queued units serially, ``0``
-        one lane per core, N > 1 that many concurrent in-process lanes
-        (zero pickling — array-engine units overlap inside the compiled
-        kernel's GIL release).  Refined rows land in the store through
-        the same append path either way.
+        out individually).  :meth:`refine` drains the queue serially
+        in the calling thread.
     auto_refresh:
         Re-index when the store's signature changes (set False only in
         benchmarks that want the index pinned).
@@ -106,18 +100,12 @@ class QueryEngine:
         *,
         cache_dir: str | Path | None = None,
         refine: bool = True,
-        refine_jobs: int | None = None,
         auto_refresh: bool = True,
         trace_events: EventSink | str | Path | None = None,
     ):
         self.store = store if isinstance(store, ResultStore) else open_store(store)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.refine_enabled = refine
-        # Validate eagerly so a bad --jobs fails at service start-up,
-        # not on the first cold query's background drain.
-        from repro.campaign.kinds import resolve_jobs
-
-        self.refine_jobs = resolve_jobs(refine_jobs)
         self.auto_refresh = auto_refresh
         if self.cache_dir is not None:
             cache.configure(self.cache_dir)
@@ -343,8 +331,6 @@ class QueryEngine:
             return 0
         result = run_units(
             units,
-            workers=self.refine_jobs,
-            executor="threads" if self.refine_jobs > 1 else "processes",
             store=self.store,
             cache_dir=self.cache_dir,
             events=self.trace_sink,

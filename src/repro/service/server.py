@@ -341,21 +341,19 @@ def run_server(
     port: int = 8351,
     cache_dir=None,
     refine: bool = True,
-    refine_jobs: int | None = None,
     trace_events=None,
 ) -> None:
     """Build an engine over ``store`` and serve it until interrupted.
 
-    ``refine_jobs`` sizes the refinement drain's in-process thread lanes
-    (``starnet serve --jobs``); queries are unaffected.  ``trace_events``
-    (a JSONL path) turns on span emission — every query and refinement
-    unit lands in the file, ready for ``starnet trace export``.
+    Refinement drains serially on the server's background refinement
+    thread.  ``trace_events`` (a JSONL path) turns on span emission —
+    every query and refinement unit lands in the file, ready for
+    ``starnet trace export``.
     """
     engine = QueryEngine(
         store,
         cache_dir=cache_dir,
         refine=refine,
-        refine_jobs=refine_jobs,
         trace_events=trace_events,
     )
     server = ServiceServer(engine, host=host, port=port)

@@ -39,7 +39,8 @@
  * phase 5 (completion bookkeeping with order-sensitive float
  * accumulation) runs last.  The kernel is single-threaded: batch-level
  * parallelism comes from running whole simulators in separate
- * processes or campaign lanes, which call in here with the GIL released.
+ * processes.  Callers enter with the GIL released, so other Python
+ * threads (a service's HTTP handlers) keep running meanwhile.
  *
  * Fixed-size arrays.  The ejection columns hold R * (C*V + N*slots)
  * rows, a proven bound on ejecting messages plus pending headers: every

@@ -29,7 +29,7 @@ from repro.routing.base import RoutingAlgorithm
 from repro.simulation import engine as _engine
 from repro.simulation.config import SimulationConfig
 from repro.simulation.kernels import ArraySimulator
-from repro.simulation.metrics import HopBlockingStats, SimulationResult
+from repro.simulation.metrics import HopBlockingStats, SimulationResult, t_halfwidth
 from repro.topology.base import Topology
 from repro.utils.exceptions import ConfigurationError
 
@@ -198,7 +198,7 @@ def summarize_batch(results: Sequence[SimulationResult]) -> dict:
     """Pool a batch of replications into one JSON-friendly summary row.
 
     The across-replication 95% confidence interval treats each
-    replication's mean as one observation (normal critical value, like
+    replication's mean as one observation (Student-t critical value, like
     the per-run batch-means CI).
     """
     if not results:
@@ -213,11 +213,7 @@ def summarize_batch(results: Sequence[SimulationResult]) -> dict:
     means = [r.mean_latency for r in results if not math.isnan(r.mean_latency)]
     R = len(means)
     mean = sum(means) / R if R else math.nan
-    if R >= 2:
-        var = sum((m - mean) ** 2 for m in means) / (R - 1)
-        ci = 1.96 * math.sqrt(var / R)
-    else:
-        ci = math.nan
+    ci = t_halfwidth(means)
     net = pooled_mean([r.mean_network_latency for r in results])
     hop_stats = [r.hop_blocking for r in results if r.hop_blocking is not None]
     out = {

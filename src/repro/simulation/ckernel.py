@@ -122,8 +122,8 @@ def _fail(reason: str):
 def load_kernel():
     """The compiled ``starnet_run`` function, or None when unavailable.
 
-    It releases the GIL while it runs, so simulators in separate
-    campaign lanes overlap.
+    ctypes releases the GIL while it runs, so the service's HTTP threads
+    keep answering queries during a refinement.
     """
     global _cached
     if _cached is not None:

@@ -70,9 +70,10 @@ uniform-buffer refills — is a callback
 message-pool exhaustion (Python grows the pool and re-enters at the same
 generation event), the one-cycle limit of :meth:`ArraySimulator.step`,
 the watchdog and errors; a return costs O(1) Python work.  The kernel is
-single-threaded and releases the GIL, so parallelism comes from running
-whole simulators in separate processes (see docs/simulation.md,
-"Parallelism model").
+single-threaded, so parallelism comes from running whole simulators in
+separate processes (see docs/simulation.md, "Parallelism model").
+ctypes releases the GIL while it runs, which keeps the service's HTTP
+threads answering during a refinement.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ import numpy as np
 from repro.routing.base import MessageRouteState, RoutingAlgorithm, SelectionPolicy
 from repro.simulation.ckernel import kernel_error, load_kernel
 from repro.simulation.config import SimulationConfig
-from repro.simulation.metrics import HopBlockingStats, SimulationResult
+from repro.simulation.metrics import HopBlockingStats, SimulationResult, t_halfwidth
 from repro.simulation.state import MAX_BUFFER_DEPTH, SimState
 from repro.topology.base import Topology
 from repro.utils.exceptions import ConfigurationError, SimulationError
-from repro.utils.rng import RngStreams
+from repro.utils.rng import StreamBank, spawn_generator
 
 __all__ = ["ArraySimulator"]
 
@@ -295,6 +296,7 @@ class ArraySimulator:
         self._deg = topology.degree
         self._C = topology.num_channels
         self._R = R
+        self._N = N
         self.state = SimState(
             topology, V, self._M, R, initial_capacity=max(64, 2 * N * self._slots)
         )
@@ -341,8 +343,7 @@ class ArraySimulator:
         self._spatial = [
             self.workload.build_spatial(topology=topology) for _ in configs
         ]
-        self._rngs = [RngStreams(c.seed) for c in configs]
-        self._alloc_gen = [streams.allocator() for streams in self._rngs]
+        self._alloc_gen = [spawn_generator(c.seed, "allocator") for c in configs]
         self._buf_cap = 4096
         self._alloc_buf = np.empty((R, self._buf_cap), dtype=np.float64)
         for rep in range(R):
@@ -353,18 +354,13 @@ class ArraySimulator:
         #: every row's remaining variates at the last exact check, spend
         #: an upper bound on any row's consumption since.
         self._c_ugate = np.array([self._buf_cap, 0], dtype=np.int64)
-        self._dest_rng = [
-            [streams.dest(u) for u in range(N)] for streams in self._rngs
-        ]
-        self._sources = [
-            [
-                self.workload.build_temporal(
-                    configs[rep].generation_rate, self._rngs[rep].traffic(u)
-                )
-                for u in range(N)
-            ]
-            for rep in range(R)
-        ]
+        #: Arrival streams (rep * N + node), then destination streams
+        #: (R * N + rep * N + node): the same draws as RngStreams'
+        #: traffic(node) and dest(node) for that replication's seed.
+        self._streams = StreamBank(
+            [(c.seed, "traffic", u) for c in configs for u in range(N)]
+            + [(c.seed, "dest", u) for c in configs for u in range(N)]
+        )
         # Generation state: pre-drawn arrival/destination blocks with
         # cursors, the next-arrival instant per node, and the linked-list
         # source queues below.  One outstanding arrival per node makes the
@@ -376,8 +372,14 @@ class ArraySimulator:
         self._dst_pos = np.zeros((R, N), dtype=np.int32)
         self._dst_len = np.zeros((R, N), dtype=np.int32)
         self._gen_node_t = np.full((R, N), math.inf, dtype=np.float64)
+        self._sources = [[None] * N for _ in range(R)]
         for rep in range(R):
-            for node, src in enumerate(self._sources[rep]):
+            for node in range(N):
+                # every arrival process shares the bank's Generator, so
+                # its stream is selected before each of its draws
+                gen = self._streams.select(rep * N + node)
+                src = self.workload.build_temporal(configs[rep].generation_rate, gen)
+                self._sources[rep][node] = src
                 if src.rate == 0:
                     continue
                 buf = src.draw_block(_GEN_BLOCK)
@@ -679,6 +681,7 @@ class ArraySimulator:
 
     def _refill_arr(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn arrival block, cursor reset."""
+        self._streams.select(rep * self._N + node)
         buf = self._sources[rep][node].draw_block(_GEN_BLOCK)
         self._arr_buf[rep, node, : len(buf)] = buf
         self._arr_len[rep, node] = len(buf)
@@ -687,7 +690,7 @@ class ArraySimulator:
     def _refill_dst(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn destination block, cursor reset."""
         buf = self._spatial[rep].destinations_block(
-            node, _GEN_BLOCK, self._dest_rng[rep][node]
+            node, _GEN_BLOCK, self._streams.select((self._R + rep) * self._N + node)
         )
         self._dst_buf[rep, node, : len(buf)] = buf
         self._dst_len[rep, node] = len(buf)
@@ -1000,22 +1003,15 @@ class ArraySimulator:
         lat_mean = float(self._lat_sum[rep]) / cnt if cnt else math.nan
         net_mean = float(self._net_sum[rep]) / cnt if cnt else math.nan
         srcw_mean = float(self._srcw_sum[rep]) / cnt if cnt else math.nan
-        # ~95% CI half-width from batch means — same estimator (and the
-        # same normal critical value) as LatencyAccumulator.ci_halfwidth.
+        # 95% CI half-width from batch means — the same estimator as
+        # LatencyAccumulator.ci_halfwidth.
         bs = self._lat_bsum[rep]
         bc = self._lat_bcount[rep]
-        means = [
+        lat_ci = t_halfwidth([
             float(bs[i]) / int(bc[i])
             for i in range(int(self._w_batches[rep]))
             if bc[i] > 0
-        ]
-        k = len(means)
-        if k < 2:
-            lat_ci = math.nan
-        else:
-            mu = sum(means) / k
-            var = sum((m - mu) ** 2 for m in means) / (k - 1)
-            lat_ci = 1.96 * math.sqrt(var / k)
+        ])
         sum_v, sum_v2 = self._load_acc[rep, 1:3].tolist()
         return {
             "cycles_run": self.cycle,

@@ -9,7 +9,9 @@ Latencies follow the paper's definitions (section 5):
 * *source queueing time* — generation until first-channel acquisition.
 
 Confidence intervals use the method of batch means over the measurement
-window (messages are assigned to batches by generation time).
+window (messages are assigned to batches by generation time), with the
+Student-t critical value for the number of batch means
+(:func:`t_halfwidth`).
 """
 
 from __future__ import annotations
@@ -20,11 +22,48 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "t_halfwidth",
     "LatencyAccumulator",
     "ChannelLoadSampler",
     "HopBlockingStats",
     "SimulationResult",
 ]
+
+
+#: Two-sided 95% Student-t critical values t_{0.975, df} for df = 1..30.
+_T975 = (
+    12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+    2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+    2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042,
+)
+
+#: ``(df, t_{0.975, df})`` anchors past the table; the last is df = inf.
+_T975_TAIL = ((30, 2.042), (40, 2.021), (60, 2.000), (120, 1.980), (math.inf, 1.960))
+
+
+def _t975(df: int) -> float:
+    """t_{0.975, df}: tabled to df 30, then linear in 1/df to the normal."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    (d0, t0), (d1, t1) = next(
+        pair for pair in zip(_T975_TAIL, _T975_TAIL[1:]) if df <= pair[1][0]
+    )
+    return t0 + (1 / d0 - 1 / df) / (1 / d0 - 1 / d1) * (t1 - t0)
+
+
+def t_halfwidth(means) -> float:
+    """95% CI half-width ``t_{0.975, k-1} * s / sqrt(k)`` of ``k`` means.
+
+    ``s`` is the sample standard deviation of the means; NaN when
+    ``k < 2``.  Every confidence interval the simulator reports (per-run
+    batch means and pooled replications) goes through here.
+    """
+    k = len(means)
+    if k < 2:
+        return math.nan
+    mu = sum(means) / k
+    var = sum((m - mu) ** 2 for m in means) / (k - 1)
+    return _t975(k - 1) * math.sqrt(var / k)
 
 
 class HopBlockingStats:
@@ -191,19 +230,8 @@ class LatencyAccumulator:
         ]
 
     def ci_halfwidth(self) -> float:
-        """~95% half-width from batch means (NaN with < 2 batches).
-
-        Uses the normal critical value 1.96; with the default 8 batches
-        the Student-t correction would widen this by ~20%, which is within
-        the accuracy we claim for the reproduction.
-        """
-        means = self.batch_means()
-        k = len(means)
-        if k < 2:
-            return math.nan
-        mu = sum(means) / k
-        var = sum((m - mu) ** 2 for m in means) / (k - 1)
-        return 1.96 * math.sqrt(var / k)
+        """95% Student-t half-width from batch means (NaN with < 2 batches)."""
+        return t_halfwidth(self.batch_means())
 
 
 class ChannelLoadSampler:

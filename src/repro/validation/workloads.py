@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from repro.api.convert import row_from_unit
 from repro.api.results import ResultSet
 from repro.campaign.grid import GridSpec
-from repro.campaign.runner import pool_choice, run_campaign
+from repro.campaign.runner import run_campaign
 from repro.core.spec import ModelSpec
 from repro.utils.exceptions import ConfigurationError
 from repro.validation.compare import CurveComparison, OperatingPoint, compare_curves
@@ -267,7 +267,6 @@ def validate_workloads(
     seed: int = 0,
     engine: str = "object",
     workers: int = 1,
-    jobs: int | None = None,
     tolerance: float | None = None,
     cache_dir=None,
     replications: int = 1,
@@ -325,15 +324,8 @@ def validate_workloads(
     )
     model_units = model_grid.expand()
     sim_units = sim_grid.expand()
-    # --jobs swaps the process pool for in-process threads (zero
-    # pickling; pays off when the sim side runs the array engine, whose
-    # compiled kernel releases the GIL for its whole C-resident run).
-    width, executor = pool_choice(workers, jobs)
     result = run_campaign(
-        model_units + sim_units,
-        workers=width,
-        executor=executor,
-        cache_dir=cache_dir,
+        model_units + sim_units, workers=workers, cache_dir=cache_dir
     )
     model_results = result.results[: len(model_units)]
     sim_results = result.results[len(model_units) :]

@@ -113,19 +113,18 @@ class PoissonProcess(ArrivalProcess):
         ``Generator.exponential(size=k)`` consumes the Philox bitstream
         exactly like k scalar ``exponential()`` calls (the ziggurat runs
         per-variate either way), and the instants are accumulated with
-        the same left-to-right float additions as :meth:`pop_next`, so
-        the block reproduces the scalar stream bit for bit.
+        the same left-to-right float additions as :meth:`pop_next`
+        (``np.add.accumulate`` adds strictly in order), so the block
+        reproduces the scalar stream bit for bit.
         """
         if self.rate == 0 or k <= 0:
             return super().draw_block(k)
-        gaps = self._rng.exponential(1.0 / self.rate, size=k).tolist()
-        out = []
-        t = self._next
-        for g in gaps:
-            out.append(t)
-            t += g
-        self._next = t
-        return out
+        steps = np.empty(k + 1)
+        steps[0] = self._next
+        steps[1:] = self._rng.exponential(1.0 / self.rate, size=k)
+        instants = np.add.accumulate(steps).tolist()
+        self._next = instants.pop()
+        return instants
 
     @staticmethod
     def scv(params: Mapping[str, Any]) -> float:

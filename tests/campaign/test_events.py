@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign.grid import GridSpec
 from repro.campaign.kinds import run_units_fused
 from repro.campaign.runner import run_campaign
@@ -64,26 +66,27 @@ class TestSerialExecutor:
 
 
 class TestPoolExecutors:
-    def test_thread_executor_events(self, tmp_path):
+    def test_process_executor_events(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        run_campaign(_GRID.expand(), workers=2, executor="threads", events=path)
+        run_campaign(_GRID.expand(), workers=2, events=path)
         events = read_events(path)
         types = _types(events)
+        assert types[0] == "campaign_start" and types[-1] == "campaign_end"
         assert types.count("unit_started") == 3
         assert types.count("unit_finished") == 3
-        assert events[0]["executor"] == "threads"
+        assert events[0]["executor"] == "processes"
         started = [e for e in events if e["type"] == "unit_started"]
-        # Lane occupancy is reported at submission time and bounded by
+        # Pool occupancy is reported at submission time and bounded by
         # the in-flight window.
         assert all(1 <= e["in_flight"] <= 2 * 4 for e in started)
         assert max(e["in_flight"] for e in started) >= 2
 
-    def test_process_executor_events(self, tmp_path):
+    def test_thread_executor_events(self, tmp_path):
+        """Asking for the deleted thread executor fails before any event."""
         path = tmp_path / "events.jsonl"
-        run_campaign(_GRID.expand(), workers=2, executor="processes", events=path)
-        types = _types(read_events(path))
-        assert types[0] == "campaign_start" and types[-1] == "campaign_end"
-        assert types.count("unit_finished") == 3
+        with pytest.raises(TypeError, match="executor"):
+            run_campaign(_GRID.expand(), workers=2, executor="threads", events=path)
+        assert not path.exists()
 
     def test_caller_owned_sink_stays_open(self, tmp_path):
         path = tmp_path / "events.jsonl"

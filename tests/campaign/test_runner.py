@@ -103,6 +103,27 @@ class TestProcessPool:
         assert len(ResultStore(path).load()) == 6
 
 
+class TestThreadExecutor:
+    """Thread lanes are gone: ``workers > 1`` always means processes."""
+
+    def test_thread_pool_matches_serial(self):
+        serial = run_campaign(_GRID.expand(), workers=1)
+        pooled = run_campaign(_GRID.expand(), workers=3)
+        assert pooled.workers == 3
+        assert pooled.computed == 6
+        for a, b in zip(serial.results, pooled.results):
+            assert a == b
+
+    def test_thread_pool_streams_to_store(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        with pytest.raises(TypeError, match="executor"):
+            run_campaign(_GRID.expand(), workers=2, executor="threads", store=path)
+        assert not path.exists()  # refused before the store was opened
+        result = run_campaign(_GRID.expand(), workers=3, store=path)
+        assert result.computed == 6
+        assert len(ResultStore(path).load()) == 6
+
+
 class TestPayloads:
     def test_model_result_payload(self):
         res = StarLatencyModel(4, 8, 6).evaluate(0.002)
@@ -138,79 +159,12 @@ class TestSweepParallel:
         assert all(isinstance(r, ModelResult) for r in parallel)
 
 
-class TestThreadExecutor:
-    """The in-process threads executor: zero pickling, identical results."""
-
-    def test_thread_pool_matches_serial(self):
-        serial = run_campaign(_GRID.expand(), workers=1)
-        threaded = run_campaign(_GRID.expand(), workers=3, executor="threads")
-        assert threaded.workers == 3
-        assert threaded.computed == 6
-        for a, b in zip(serial.results, threaded.results):
-            assert a == b
-
-    def test_thread_pool_streams_to_store(self, tmp_path):
-        path = tmp_path / "results.jsonl"
-        result = run_campaign(
-            _GRID.expand(), workers=2, executor="threads", store=path
-        )
-        assert result.computed == 6
-        assert len(ResultStore(path).load()) == 6
-
-    def test_unpicklable_results_survive_threads(self):
-        """Thread lanes never serialize, so closures/locals are fine."""
-        import threading
-
-        witness = []
-
-        def _kind(params):
-            witness.append(threading.current_thread().name)
-            return lambda: params["rate"]  # unpicklable on purpose
-
-        from repro.campaign.kinds import KINDS
-
-        KINDS["_thread_probe"] = _kind
-        try:
-            units = [
-                WorkUnit("_thread_probe", {"rate": r}) for r in (0.1, 0.2, 0.3)
-            ]
-            result = run_campaign(units, workers=2, executor="threads")
-            assert [f() for f in result.results] == [0.1, 0.2, 0.3]
-            assert all(name.startswith("starnet-campaign") for name in witness)
-        finally:
-            del KINDS["_thread_probe"]
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="executor"):
-            run_campaign([], workers=2, executor="fibers")
-
-
 class TestJobsKnob:
-    def test_resolve_jobs(self):
-        import os
-
-        from repro.campaign.kinds import resolve_jobs
-
-        assert resolve_jobs(None) == 1
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(5) == 5
-        assert resolve_jobs(0) == max(1, os.cpu_count() or 1)
-        for bad in (-1, True, 2.5, "3"):
-            with pytest.raises(ConfigurationError, match="jobs"):
-                resolve_jobs(bad)
-
-    def test_pool_choice(self):
-        from repro.campaign.runner import pool_choice
-
-        assert pool_choice(1, None) == (1, "processes")
-        assert pool_choice(4, None) == (4, "processes")
-        assert pool_choice(1, 3) == (3, "threads")
-        with pytest.raises(ConfigurationError, match="not both"):
-            pool_choice(2, 2)
+    """``run_units_fused``: the serial in-process fused runner."""
 
     def test_fused_jobs_parity(self):
-        """run_units_fused(jobs=N) reassembles results in unit order."""
-        from repro.campaign.kinds import run_units_fused
+        """Fused and solo units come back in unit order, equal to per-unit runs."""
+        from repro.campaign.kinds import lookup, run_units_fused
 
         grid = GridSpec(
             kind="sim_batch",
@@ -228,13 +182,12 @@ class TestJobsKnob:
             ),
         )
         units = grid.expand()
-        # Mix in a non-fusible unit so both task shapes run on the pool.
+        # Mix in a non-fusible unit so both a fused group and a solo unit run.
         units = units + [
             WorkUnit("model", {"order": 4, "message_length": 8, "rate": 0.002})
         ]
-        serial = run_units_fused(units)
-        threaded = run_units_fused(units, jobs=3)
-        assert serial == threaded
+        fused = run_units_fused(units)
+        assert fused == [lookup(u.kind)(u.params) for u in units]
 
     def test_fused_jobs_progress_reaches_total(self):
         from repro.campaign.kinds import run_units_fused
@@ -244,5 +197,5 @@ class TestJobsKnob:
             for r in (0.002, 0.004, 0.006)
         ]
         seen = []
-        run_units_fused(units, progress=lambda d, t: seen.append((d, t)), jobs=2)
+        run_units_fused(units, progress=lambda d, t: seen.append((d, t)))
         assert seen[-1] == (3, 3)

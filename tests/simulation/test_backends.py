@@ -334,6 +334,13 @@ class TestBatchedReplications:
         assert row["latency_ci"] > 0
         assert not row["any_saturated"]
 
+    def test_summarize_batch_ci_is_student_t(self, star4):
+        batch = simulate_batch(star4, EnhancedNbc(), small_config(), 4, engine="array")
+        row = summarize_batch(batch)
+        s = float(np.std([r.mean_latency for r in batch], ddof=1))
+        # t_{0.975, 3} = 3.182 for 4 replications (1.96 would be ~38% narrower).
+        assert row["latency_ci"] == pytest.approx(3.182 * s / 2, abs=1e-3)
+
 
 class TestStatisticalEquivalence:
     """Acceptance: overlapping 95% CIs on S3/S4 for the three workloads."""

@@ -6,7 +6,37 @@ import numpy as np
 
 import pytest
 
-from repro.simulation.metrics import ChannelLoadSampler, LatencyAccumulator
+from repro.simulation.metrics import (
+    ChannelLoadSampler,
+    LatencyAccumulator,
+    t_halfwidth,
+)
+
+
+class TestStudentT:
+    @pytest.mark.parametrize(
+        "k, t_crit",
+        [(2, 12.706), (4, 3.182), (8, 2.365), (31, 2.042), (1001, 1.962)],
+    )
+    def test_critical_value(self, k, t_crit):
+        # Means alternating +-1 around 0 (k even) or with one 0 (k odd):
+        # the half-width divided by s / sqrt(k) is the critical value.
+        means = [(-1.0) ** i for i in range(k - k % 2)] + [0.0] * (k % 2)
+        s = float(np.std(means, ddof=1))
+        assert t_halfwidth(means) / (s / math.sqrt(k)) == pytest.approx(
+            t_crit, abs=5e-4
+        )
+
+    def test_nan_below_two_means(self):
+        assert math.isnan(t_halfwidth([]))
+        assert math.isnan(t_halfwidth([3.0]))
+
+    def test_accumulator_uses_student_t(self):
+        acc = LatencyAccumulator(batches=4, t_start=0, t_end=4)
+        for b in range(4):
+            acc.add(b + 0.5, 10.0 + b)
+        s = float(np.std(acc.batch_means(), ddof=1))
+        assert acc.ci_halfwidth() == pytest.approx(3.182 * s / 2)
 
 
 class TestLatencyAccumulator:
