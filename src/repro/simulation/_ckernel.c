@@ -51,138 +51,12 @@
  * row bound every cycle (a broken bound is an invariant failure, not a
  * buffer overrun).  Only the message pool grows: an exhausted pool
  * returns RUN_GROW before anything is consumed.
- *
- * All arguments arrive through one int64 parameter block (pointers cast
- * to int64), so each call marshals a single argument.  Slot layout must
- * match kernels.ArraySimulator._refresh_c_args:
- *
- *   0 bd          (int32*, R*CV)  packed buffered | delivered << 16
- *   1 avail       (int32*, R*CV)  flits available to pull
- *   2 owner       (int32*, R*CV)  owning slot or -1
- *   3 up          (int32*, R*CV)  upstream vc or -1 (source PE)
- *   4 down        (int32*, R*CV)  downstream vc or -1
- *   5 rr          (int32*, R*C)   round-robin pointers
- *   6 lut         (int8*)         round-robin winner table (0: scan)
- *   7 R   8 C   9 V
- *  10 M  11 depth  12 ej_rate (< 0: unlimited)
- *  13 transfers   (int64*, R)     cumulative grant counts
- *  14 vcs_held    (int32*, R*cap) per-message owned-VC counts
- *  15 msg_src     (int32*, R*cap) source node per message
- *  16 active_inj  (int32*, R*N)   concurrent injections per node
- *  17 msg_ejected (int32*, R*cap) ejected flits per message
- *  18 cap  19 N
- *  20 ej_reps     (int64*)        ejection columns (fixed rows, above)
- *  21 ej_slots    (int64*)
- *  22 ej_flats    (int64*)        head VC of each draining message
- *  23 ej_mflats   (int64*)        message-array index of each
- *  24 ej_pos      (int64*, R*cap) column position per message (-1)
- *  25 ej_k        (int32*, scratch, one per ejection row)
- *  26 winners     (int64*, scratch R*C, per-rep region C)
- *  27 fin_nodes   (int64*, scratch R*C) rep*N + node of finished injections
- *  28 completions (int64*, scratch, one per ejection row)
- *  29 alloc_scr   (int32*, scratch 2*deg*V) free adaptive | escape VCs
- *  30 load_acc    (int64*, R*4)   channel-load sample accumulators
- *                                  {samples, sum_v, sum_v2, busy}, per rep
- *  31 busy        (uint8*, R*C)   owned-VC count per channel
- *  32 policy       0 adaptive-first, 1 lowest-escape, 2 random
- *  33 num_adaptive
- *  34 deg
- *  35 need_slots  (int32*, R*cap) pending headers, compacted in place
- *  36 need_n      (int64*, R)     pending counts
- *  37 p_dst  38 p_header  39 p_dist  40 p_floor  41 p_hops
- *  42 p_first  43 p_head_vc   (all int32*, R*cap)
- *  44 route       (int8*, N*N*route_w) rows {dist, nports, ports...};
- *                                  dist -1: unresolved (kind 2 fills it)
- *  45 route_w                     row width, 2 + deg
- *  46 cls         (int32*, cls_d*2*num_escape*4) eligibility classes
- *                                  {a_lo, a_n, e_lo, e_n} at ((d-1)*2 +
- *                                  colour)*num_escape + floor; a_n -1:
- *                                  a state eligible() rejects
- *  47 cls_d                       diameter  48 num_escape
- *  49 alloc_buf   (double*, R*buf_cap) pre-drawn uniforms
- *  50 buf_cap     51 alloc_pos (int64*, R)
- *  52 neighbors   (int32*, C)     node reached through each channel
- *  53 color       (uint8*, N)     1 on "negative-hop" nodes
- *  54 msg_measured(uint8*, R*cap)
- *  55 msg_t_inject(double*, R*cap)
- *  56 alloc_attempts (int64*, R)  57 alloc_failures (int64*, R)
- *  58 injected    (int64*, R)     measured injections in window
- *  59 hb_req  60 hb_blk  61 hb_wait (int64*, R*(hb_max+1))
- *  62 hb_max
- *  63 msg_t_gen   (double*, R*cap) generation instant per message
- *  64 in_flight   (int64*, R)     live message counts
- *  65 meas_flight (int64*, R)     live *measured* message counts
- *  66 completed   (int64*, R)     cumulative completions
- *  67 free_stack  (int32*, R*cap) free-slot stacks  68 free_n (int64*, R)
- *  69 lat_sum     (double*, R)    total-latency accumulator
- *  70 net_sum     (double*, R)    network-latency accumulator
- *  71 srcw_sum    (double*, R)    source-wait accumulator
- *  72 mcount      (int64*, R)     measured completions
- *  73 lat_bsum    (double*, R*Bmax) per-batch latency sums
- *  74 lat_bcount  (int64*, R*Bmax)  per-batch latency counts
- *  75 w_t0        (double*, R)    measurement-window start per rep
- *  76 w_width     (double*, R)    batch width per rep
- *  77 w_batches   (int64*, R)     batch count per rep  78 Bmax
- *  79 tstage      (int64*, R*8)   per-rep staging {-, busy_delta,
- *                                  fin_n, -, err, newej_n,
- *                                  newej_base, bucket_end}
- *  80 gen_node_t  (double*, R*N)  next arrival instant per node
- *  81 gen_next    (double*, R)    cached per-rep minimum of gen_node_t
- *  82 arr_buf     (double*, R*N*GB) pre-drawn arrival blocks
- *  83 arr_pos     (int32*, R*N)   cursor into arr_buf
- *  84 arr_len     (int32*, R*N)   valid entries in arr_buf
- *  85 dst_buf     (int32*, R*N*GB) pre-drawn destination blocks
- *  86 dst_pos     (int32*, R*N)  87 dst_len (int32*, R*N)
- *  88 GB                          generation block size
- *  89 qnext       (int32*, R*cap) source-queue links (next slot or -1)
- *  90 qhead  91 qtail  92 qlen   (int32*, R*N) per-node queues
- *  93 act         (uint8*, R*N)   nodes with pending activations
- *  94 cb                          service callback into Python
- *                                  int64 cb(kind, a, b):
- *                                  0 arrival-block refill (rep, node)
- *                                  1 dest-block refill (rep, node)
- *                                  2 route row (cur, dst) -> distance;
- *                                    fills the row in place
- *                                  4 uniform shortage (need_total, -):
- *                                    refill + re-base ugate; re-read
- *                                    slots 49-50 afterwards
- *                                  negative return: Python exception
- *  95 generated   (int64*, R)   96 meas_generated (int64*, R)
- *  97 warm        (int64*, R)   98 horizon (int64*, R)
- *  99 end         (int64*, R)     horizon + drain budget
- * 100 active      (uint8*, R)     1 until the rep's result is frozen
- * 101 slots                       injection slots per node
- * 102 grace                       watchdog grace (cycles)
- * 103 marks       (int64*, R)  104 lastp (int64*, R)  watchdog state
- * 105 sample_interval             cycles between channel-load samples
- * 106 ugate       (int64*, 2)     {headroom, spend} uniform gate
- * 107 run_state   (int64*, 8)     {cycle, busy_vcs, ej_n, need_total,
- *                                  reason, aux, limit, 0}: the first
- *                                  four in/out, reason/aux out; limit
- *                                  in (< 0: run until a stop, else
- *                                  advance to that cycle and apply no
- *                                  stop conditions)
- * 108 prof        (int64*, 8)     phase-profiling ns accumulators, or 0
- *                                  when profiling is off: {generation,
- *                                  activation, route, complete, -, -,
- *                                  -, -} (total/cycles live Python-side;
- *                                  see ArraySimulator.phase_profile)
- *
- * Time-series probe slots (109+), the same NULL-pointer = zero-overhead
- * contract as slot 108 (see probe_sample / docs/observability.md):
- *
- * 109 pb_data     (int64*, cap*R*(3+V+1)) sample ring buffer, or 0
- *                                  when probing is off; one sample is
- *                                  R rows of {in_flight, completed,
- *                                  backlog, occupancy histogram 0..V}
- * 110 pb_cycles   (int64*, cap)   cycle stamp per sample
- * 111 pb_state    (int64*, 1)     {sample count}
- * 112 pb_interval                 cycles between samples
- * 113 pb_cap                      ring capacity (samples)
  */
 
+#define _POSIX_C_SOURCE 200809L /* clock_gettime under -std=c11 */
+
+#include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <time.h>
 
 /* starnet_run return reasons (one per return; mirrored in kernels.py).
@@ -192,90 +66,256 @@
 #define RUN_WATCHDOG 4 /* stalled: Python raises SimulationError        */
 #define RUN_CBERR 8    /* a service callback raised                     */
 #define RUN_ERR 16     /* kernel invariant failure                      */
-#define RUN_LIMIT 32   /* reached the run-state cycle limit             */
+#define RUN_LIMIT 32   /* reached the call's cycle limit                */
 
 /* run_phases error bits. */
 #define ERR_INVARIANT 1
 #define ERR_CALLBACK 2
 
+/* Service callback into Python, int64 cb(kind, a, b):
+ *   0 arrival-block refill (rep, node)
+ *   1 dest-block refill (rep, node)
+ *   2 route row (cur, dst) -> distance; fills the row in place
+ *   4 uniform shortage (need_total, -): refills alloc_buf, re-bases the
+ *     uniform gate and, when it widens the buffer, patches alloc_buf and
+ *     buf_cap in the live block (load_uniforms re-reads them)
+ * A negative return means a Python exception. */
 typedef int64_t (*starnet_cb)(int64_t kind, int64_t a, int64_t b);
 
-/* Decoded parameter block.  The message pool grows only between calls
- * (RUN_GROW), so its pointers are stable for a whole call; the uniform
- * buffer may be regrown inside a callback, which patches the block in
- * place, so its pointer is re-read after every kind-4 call.  The route
- * table never moves: the kind-2 callback fills its rows in place. */
+/* Per-replication staging of one cycle, merged in replication order. */
+typedef struct RepStage {
+    int64_t busy_delta; /* owned-VC count change */
+    int64_t fin_n;      /* finished injections, in fin_nodes[r*C..] */
+    int64_t err;        /* ERR_* bits */
+    int64_t newej_n;    /* ejection columns staged at newej_base.. */
+    int64_t newej_base;
+    int64_t bucket_end; /* end of the rep's bucket of live columns */
+} RepStage;
+/* SimState sizes the stage scratch as STAGE_WORDS int64 per replication. */
+#define STAGE_WORDS 6
+_Static_assert(sizeof(RepStage) == STAGE_WORDS * sizeof(int64_t),
+               "RepStage is STAGE_WORDS int64 words");
+
+/* THE KERNEL INTERFACE, declared once.  One line per field of the
+ * parameter block, each field one 8-byte word:
+ *
+ *   ARR(type, name, dtype)  array state, hashed by trace.state_digest
+ *   SCR(type, name, dtype)  scratch, dead between cycles
+ *   OPT(type, name, dtype)  optional array, NULL while its feature is
+ *                           off (profiling, probes, the arbitration LUT)
+ *   VAL(type, name)         scalar, passed as int64
+ *   RUN(name)               int64 run state: read on entry, written back
+ *                           on return (the uniform gate is read live)
+ *
+ * The Python side reads the exported layout table (starnet_fields) and
+ * fills each field from the SimState attribute of the same name,
+ * checking an array's numpy dtype (the third argument) and contiguity.
+ * Adding a field is one line here plus one SimState attribute; a
+ * per-message (R*cap) array also needs a state._POOL_FIELDS entry so
+ * SimState.grow() widens it (nothing here checks shapes).
+ * Shapes: R replications, N nodes, C channels, V VCs per channel, CV =
+ * C*V, cap the message-pool capacity, rows the ejection-column bound. */
+#define STARNET_FIELDS(ARR, SCR, OPT, VAL, RUN)                          \
+    /* virtual channels (flat id = channel * V + vc) and channels */      \
+    ARR(int32_t, vc_bd, int32)         /* R*CV buffered | delivered<<16 */ \
+    ARR(int32_t, vc_avail, int32)      /* R*CV flits available to pull */ \
+    ARR(int32_t, vc_owner, int32)      /* R*CV owning slot or -1 */       \
+    ARR(int32_t, vc_upstream, int32)   /* R*CV upstream vc, -1: source */ \
+    ARR(int32_t, vc_downstream, int32) /* R*CV downstream vc or -1 */     \
+    ARR(int32_t, ch_rr, int32)         /* R*C round-robin pointers */     \
+    ARR(uint8_t, ch_busy, uint8)       /* R*C owned-VC count */           \
+    ARR(int64_t, transfers, int64)     /* R cumulative grants */          \
+    ARR(int32_t, active_injections, int32) /* R*N per node */             \
+    /* message pool, R*cap per field */                                   \
+    ARR(double, msg_t_gen, float64)    /* generation instant */           \
+    ARR(double, msg_t_inject, float64) /* injection instant */            \
+    ARR(uint8_t, msg_measured, bool)                                      \
+    ARR(int32_t, msg_src, int32)                                          \
+    ARR(int32_t, msg_ejected, int32)   /* flits ejected */                \
+    ARR(int32_t, msg_vcs_held, int32)  /* owned-VC count */               \
+    ARR(int32_t, p_dst, int32)                                            \
+    ARR(int32_t, p_header, int32)      /* node the header sits at */      \
+    ARR(int32_t, p_dist, int32)        /* hops still to go */             \
+    ARR(int32_t, p_floor, int32)       /* escape floor */                 \
+    ARR(int32_t, p_hops, int32)                                           \
+    ARR(int32_t, p_first_attempt, int32) /* first blocked cycle or -1 */  \
+    ARR(int32_t, p_head_vc, int32)     /* head VC or -1 */                \
+    ARR(int32_t, free_stack, int32)    /* free-slot stacks */             \
+    ARR(int64_t, free_n, int64)        /* R stack depths */               \
+    ARR(int32_t, need_slots, int32)    /* pending headers, compacted */   \
+    ARR(int64_t, need_n, int64)        /* R pending counts */             \
+    ARR(int32_t, qnext, int32)         /* source-queue links or -1 */     \
+    /* ejection columns, rows each (live prefix ej_n) */                  \
+    ARR(int64_t, ej_reps, int64)                                          \
+    ARR(int64_t, ej_slots, int64)                                         \
+    ARR(int64_t, ej_flats, int64)      /* head VC of a draining message */ \
+    ARR(int64_t, ej_mflats, int64)     /* its message-array index */      \
+    ARR(int64_t, ej_pos, int64)        /* R*cap column per message, -1 */ \
+    /* routing tables and topology */                                     \
+    ARR(const int8_t, route, int8)     /* N*N*route_w {dist, nports,      \
+                                          ports...}; dist -1: unfilled */ \
+    ARR(const int32_t, cls, int32)     /* eligibility classes {a_lo, a_n, \
+                                          e_lo, e_n} at ((d-1)*2 +        \
+                                          colour)*num_escape + floor;     \
+                                          a_n -1: eligible() rejects */   \
+    ARR(const int32_t, neighbors, int32) /* C node behind each channel */ \
+    ARR(const uint8_t, color, uint8)   /* N 1 on "negative-hop" nodes */  \
+    ARR(const double, alloc_buf, float64) /* R*buf_cap uniforms */        \
+    ARR(int64_t, alloc_pos, int64)     /* R cursors into alloc_buf */     \
+    /* generation: pre-drawn blocks (gen_block each), per-node queues */  \
+    ARR(double, gen_node_t, float64)   /* R*N next arrival instant */     \
+    ARR(double, gen_next, float64)     /* R minimum of gen_node_t */      \
+    ARR(double, arr_buf, float64)      /* R*N*gen_block arrivals */       \
+    ARR(int32_t, arr_pos, int32)       /* R*N cursors */                  \
+    ARR(int32_t, arr_len, int32)       /* R*N valid entries */            \
+    ARR(int32_t, dst_buf, int32)       /* R*N*gen_block destinations */   \
+    ARR(int32_t, dst_pos, int32)                                          \
+    ARR(int32_t, dst_len, int32)                                          \
+    ARR(int32_t, qhead, int32)         /* R*N source queues */            \
+    ARR(int32_t, qtail, int32)                                            \
+    ARR(int32_t, qlen, int32)                                             \
+    ARR(uint8_t, act, uint8)           /* R*N pending activations */      \
+    /* per-replication counters, windows and accumulators (R each) */     \
+    ARR(int64_t, generated, int64)                                        \
+    ARR(int64_t, measured_generated, int64)                               \
+    ARR(int64_t, injected, int64)      /* measured injections */          \
+    ARR(int64_t, in_flight, int64)                                        \
+    ARR(int64_t, measured_in_flight, int64)                               \
+    ARR(int64_t, completed, int64)                                        \
+    ARR(int64_t, alloc_attempts, int64)                                   \
+    ARR(int64_t, alloc_failures, int64)                                   \
+    ARR(int64_t, hb_req, int64)        /* R*(hb_max+1) hop blocking */    \
+    ARR(int64_t, hb_blk, int64)                                           \
+    ARR(int64_t, hb_wait, int64)                                          \
+    ARR(double, lat_sum, float64)      /* total latency */                \
+    ARR(double, net_sum, float64)      /* network latency */              \
+    ARR(double, srcw_sum, float64)     /* source wait */                  \
+    ARR(int64_t, mcount, int64)        /* measured completions */         \
+    ARR(double, lat_bsum, float64)     /* R*max_batches batch sums */     \
+    ARR(int64_t, lat_bcount, int64)                                       \
+    ARR(int64_t, load_acc, int64)      /* R*4 {samples, sum_v, sum_v2,    \
+                                          busy channels} */               \
+    ARR(const double, w_t0, float64)   /* measurement-window start */     \
+    ARR(const double, w_width, float64) /* batch width */                 \
+    ARR(const int64_t, w_batches, int64)                                  \
+    ARR(const int64_t, warm, int64)                                       \
+    ARR(const int64_t, horizon, int64)                                    \
+    ARR(const int64_t, end, int64)     /* horizon + drain budget */       \
+    ARR(uint8_t, active, uint8)        /* 1 until the result is frozen */ \
+    ARR(int64_t, progress_marks, int64) /* watchdog state */              \
+    ARR(int64_t, last_progress, int64)                                    \
+    /* scratch */                                                         \
+    SCR(int32_t, ej_k, int32)          /* rows ejection picks */          \
+    SCR(int64_t, completions, int64)   /* rows buckets, completions */    \
+    SCR(int64_t, winners, int64)       /* R*C transfer winners */         \
+    SCR(int64_t, fin_nodes, int64)     /* R*C rep*N + node finished */    \
+    SCR(int32_t, alloc_scr, int32)     /* 2*degree*V free adaptive |      \
+                                          escape candidates */            \
+    SCR(RepStage, stage, int64)        /* R*STAGE_WORDS per-rep staging */ \
+    /* optional */                                                        \
+    OPT(const int8_t, lut, int8)       /* V*2^V round-robin winners */    \
+    OPT(int64_t, phase_ns, int64)      /* 4 ns accumulators {generation,  \
+                                          activation, route, complete} */ \
+    OPT(int64_t, probe_data, int64)    /* probe_capacity*R*(V+4) ring:    \
+                                          {in_flight, completed, backlog, \
+                                          occupancy histogram 0..V} */    \
+    OPT(int64_t, probe_cycles, int64)  /* probe_capacity cycle stamps */  \
+    OPT(int64_t, probe_state, int64)   /* {sample count} */               \
+    /* scalars */                                                         \
+    VAL(int64_t, replications)                                            \
+    VAL(int64_t, num_nodes)                                               \
+    VAL(int64_t, num_channels)                                            \
+    VAL(int64_t, num_vcs)                                                 \
+    VAL(int64_t, degree)                                                  \
+    VAL(int32_t, message_length)                                          \
+    VAL(int32_t, buffer_depth)                                            \
+    VAL(int32_t, ejection_rate)        /* < 0: unlimited */               \
+    VAL(int64_t, injection_slots)      /* per node */                     \
+    VAL(int64_t, capacity)             /* message-pool slots per rep */   \
+    VAL(int64_t, policy) /* 0 adaptive-first, 1 lowest-escape, 2 random */ \
+    VAL(int32_t, num_adaptive)                                            \
+    VAL(int64_t, num_escape)                                              \
+    VAL(int64_t, route_w)              /* 2 + degree */                   \
+    VAL(int64_t, cls_d)                /* diameter */                     \
+    VAL(int64_t, hb_max)                                                  \
+    VAL(int64_t, max_batches)                                             \
+    VAL(int64_t, buf_cap)              /* uniforms per rep */             \
+    VAL(int64_t, gen_block)                                               \
+    VAL(int64_t, grace)                /* watchdog grace, cycles */       \
+    VAL(int64_t, sample_interval)      /* channel-load sample stride */   \
+    VAL(int64_t, probe_interval)                                          \
+    VAL(int64_t, probe_capacity)                                          \
+    VAL(starnet_cb, cb)                                                   \
+    /* run state */                                                       \
+    RUN(cycle)                                                            \
+    RUN(busy_vcs)                                                         \
+    RUN(ej_n)                          /* live ejection columns */        \
+    RUN(need_total)                    /* pending headers, all reps */    \
+    RUN(ugate_headroom) /* uniform gate: every row has >= headroom left */ \
+    RUN(ugate_spend)    /* ... minus at most spend consumed since */      \
+    RUN(stalled_rep)                   /* the watchdog's replication */
+
+/* The parameter block: pointers and int64 words, nothing else, so its
+ * size is 8 bytes per field (ckernel.load_kernel checks). */
+#define PARAM_PTR(T, name, dtype) T *name;
+#define PARAM_WORD(T, name) int64_t name;
+#define PARAM_RUN(name) int64_t name;
+typedef struct Params {
+    STARNET_FIELDS(PARAM_PTR, PARAM_PTR, PARAM_PTR, PARAM_WORD, PARAM_RUN)
+} Params;
+
+/* The exported layout table: name, kind, numpy dtype, byte offset. */
+typedef struct StarnetField {
+    const char *name, *kind, *dtype;
+    int64_t offset;
+} StarnetField;
+
+#define FIELD(kind, name, dtype) {#name, kind, dtype, offsetof(Params, name)},
+#define FIELD_ARR(T, name, dtype) FIELD("arr", name, #dtype)
+#define FIELD_SCR(T, name, dtype) FIELD("scr", name, #dtype)
+#define FIELD_OPT(T, name, dtype) FIELD("opt", name, #dtype)
+#define FIELD_VAL(T, name) FIELD("val", name, "")
+#define FIELD_RUN(name) FIELD("run", name, "")
+const StarnetField starnet_fields[] = {
+    STARNET_FIELDS(FIELD_ARR, FIELD_SCR, FIELD_OPT, FIELD_VAL, FIELD_RUN)};
+const int64_t starnet_num_fields =
+    sizeof starnet_fields / sizeof starnet_fields[0];
+const int64_t starnet_params_size = sizeof(Params);
+
+/* The decoded call context: a local copy of the block, so the loop
+ * reads its fields from the stack.  The message pool grows only between
+ * calls (RUN_GROW), so its pointers are stable for a whole call; the
+ * uniform buffer may be regrown inside a callback, which patches the
+ * live block, so load_uniforms re-reads it after every kind-4 call.
+ * The route table never moves: the kind-2 callback fills its rows in
+ * place.  Run-state fields are not copied: the loop keeps them in
+ * locals, and the uniform gate is read from the live block. */
+#define CTX_VAL(T, name) T name;
+#define CTX_NONE(name)
 typedef struct Ctx {
-    const int64_t *P;
-    int32_t *bd, *avail, *owner, *up, *down, *rr;
-    const int8_t *lut;
-    int64_t R, C, V;
-    int32_t M, depth, ej_rate;
-    int64_t *transfers;
-    int32_t *vcs_held;
-    int32_t *msg_src;
-    int32_t *active_inj, *msg_ejected;
-    int64_t cap, N;
-    int64_t *ej_reps, *ej_slots, *ej_flats, *ej_mflats, *ej_pos;
-    int32_t *ej_k;
-    int64_t *winners, *fin_nodes, *completions, *load_acc;
-    int32_t *alloc_scr;
-    uint8_t *busy;
-    int64_t policy;
-    int32_t num_adaptive;
-    int64_t deg;
-    int32_t *need_slots;
-    int64_t *need_n;
-    int32_t *p_dst, *p_header, *p_dist, *p_floor, *p_hops, *p_first;
-    int32_t *p_head_vc;
-    const int8_t *route;
-    int64_t route_w;
-    const int32_t *cls;
-    int64_t cls_d, num_escape;
-    const double *alloc_buf;
-    int64_t buf_cap;
-    int64_t *alloc_pos;
-    const int32_t *neighbors;
-    const uint8_t *color;
-    uint8_t *measured;
-    double *t_inject;
-    int64_t *alloc_attempts, *alloc_failures, *injected;
-    int64_t *hb_req, *hb_blk, *hb_wait;
-    int64_t hb_max;
-    double *t_gen;
-    int64_t *in_flight, *meas_flight, *completed;
-    int32_t *free_stack;
-    int64_t *free_n;
-    double *lat_sum, *net_sum, *srcw_sum;
-    int64_t *mcount;
-    double *lat_bsum;
-    int64_t *lat_bcount;
-    const double *w_t0, *w_width;
-    const int64_t *w_batches;
-    int64_t Bmax;
-    int64_t *tstage;
-    double *gen_node_t, *gen_next;
-    double *arr_buf;
-    int32_t *arr_pos, *arr_len;
-    int32_t *dst_buf, *dst_pos, *dst_len;
-    int64_t GB;
-    int32_t *qnext, *qhead, *qtail, *qlen;
-    uint8_t *act;
-    starnet_cb cb;
-    int64_t *generated, *meas_generated;
-    const int64_t *warm, *horizon, *end;
-    uint8_t *active;
-    int64_t slots, grace;
-    int64_t *marks, *lastp;
-    int64_t sample_interval;
-    int64_t *ugate;
-    int64_t *run_state;
-    int64_t *prof;
-    int64_t *pb_data, *pb_cycles, *pb_state;
-    int64_t pb_interval, pb_cap;
+    Params *p;
+    STARNET_FIELDS(PARAM_PTR, PARAM_PTR, PARAM_PTR, CTX_VAL, CTX_NONE)
     int64_t ms, CV;
     int cberr; /* a callback raised: make no further calls this entry */
 } Ctx;
+
+#define LOAD_PTR(T, name, dtype) c->name = p->name;
+#define LOAD_VAL(T, name) c->name = (T)p->name;
+static void load_ctx(Ctx *c, Params *p)
+{
+    c->p = p;
+    STARNET_FIELDS(LOAD_PTR, LOAD_PTR, LOAD_PTR, LOAD_VAL, CTX_NONE)
+    c->cberr = 0;
+    c->ms = (int64_t)c->message_length << 16;
+    c->CV = c->num_channels * c->num_vcs;
+}
+
+/* The uniform buffer, re-read after a kind-4 callback may widen it. */
+static void load_uniforms(Ctx *c)
+{
+    c->alloc_buf = c->p->alloc_buf;
+    c->buf_cap = c->p->buf_cap;
+}
 
 /* Monotonic nanoseconds for phase profiling.  The NULL check keeps the
  * profiling-off path to one predictable branch per call site — no
@@ -290,170 +330,42 @@ static inline int64_t prof_now(const int64_t *prof)
     return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
 }
 
-/* Uniform buffer (slots 49-50): widened by the kind-4 callback. */
-static void load_uniforms(Ctx *c)
-{
-    c->alloc_buf = (const double *)c->P[49];
-    c->buf_cap = c->P[50];
-}
-
-static void decode(Ctx *c, int64_t *P)
-{
-    c->P = P;
-    c->cberr = 0;
-    c->bd = (int32_t *)P[0];
-    c->avail = (int32_t *)P[1];
-    c->owner = (int32_t *)P[2];
-    c->up = (int32_t *)P[3];
-    c->down = (int32_t *)P[4];
-    c->rr = (int32_t *)P[5];
-    c->lut = (const int8_t *)P[6];
-    c->R = P[7];
-    c->C = P[8];
-    c->V = P[9];
-    c->M = (int32_t)P[10];
-    c->depth = (int32_t)P[11];
-    c->ej_rate = (int32_t)P[12];
-    c->transfers = (int64_t *)P[13];
-    c->vcs_held = (int32_t *)P[14];
-    c->msg_src = (int32_t *)P[15];
-    c->active_inj = (int32_t *)P[16];
-    c->msg_ejected = (int32_t *)P[17];
-    c->cap = P[18];
-    c->N = P[19];
-    c->ej_reps = (int64_t *)P[20];
-    c->ej_slots = (int64_t *)P[21];
-    c->ej_flats = (int64_t *)P[22];
-    c->ej_mflats = (int64_t *)P[23];
-    c->ej_pos = (int64_t *)P[24];
-    c->ej_k = (int32_t *)P[25];
-    c->winners = (int64_t *)P[26];
-    c->fin_nodes = (int64_t *)P[27];
-    c->completions = (int64_t *)P[28];
-    c->alloc_scr = (int32_t *)P[29];
-    c->load_acc = (int64_t *)P[30];
-    c->busy = (uint8_t *)P[31];
-    c->policy = P[32];
-    c->num_adaptive = (int32_t)P[33];
-    c->deg = P[34];
-    c->need_slots = (int32_t *)P[35];
-    c->need_n = (int64_t *)P[36];
-    c->p_dst = (int32_t *)P[37];
-    c->p_header = (int32_t *)P[38];
-    c->p_dist = (int32_t *)P[39];
-    c->p_floor = (int32_t *)P[40];
-    c->p_hops = (int32_t *)P[41];
-    c->p_first = (int32_t *)P[42];
-    c->p_head_vc = (int32_t *)P[43];
-    c->route = (const int8_t *)P[44];
-    c->route_w = P[45];
-    c->cls = (const int32_t *)P[46];
-    c->cls_d = P[47];
-    c->num_escape = P[48];
-    load_uniforms(c);
-    c->alloc_pos = (int64_t *)P[51];
-    c->neighbors = (const int32_t *)P[52];
-    c->color = (const uint8_t *)P[53];
-    c->measured = (uint8_t *)P[54];
-    c->t_inject = (double *)P[55];
-    c->alloc_attempts = (int64_t *)P[56];
-    c->alloc_failures = (int64_t *)P[57];
-    c->injected = (int64_t *)P[58];
-    c->hb_req = (int64_t *)P[59];
-    c->hb_blk = (int64_t *)P[60];
-    c->hb_wait = (int64_t *)P[61];
-    c->hb_max = P[62];
-    c->t_gen = (double *)P[63];
-    c->in_flight = (int64_t *)P[64];
-    c->meas_flight = (int64_t *)P[65];
-    c->completed = (int64_t *)P[66];
-    c->free_stack = (int32_t *)P[67];
-    c->free_n = (int64_t *)P[68];
-    c->lat_sum = (double *)P[69];
-    c->net_sum = (double *)P[70];
-    c->srcw_sum = (double *)P[71];
-    c->mcount = (int64_t *)P[72];
-    c->lat_bsum = (double *)P[73];
-    c->lat_bcount = (int64_t *)P[74];
-    c->w_t0 = (const double *)P[75];
-    c->w_width = (const double *)P[76];
-    c->w_batches = (const int64_t *)P[77];
-    c->Bmax = P[78];
-    c->tstage = (int64_t *)P[79];
-    c->gen_node_t = (double *)P[80];
-    c->gen_next = (double *)P[81];
-    c->arr_buf = (double *)P[82];
-    c->arr_pos = (int32_t *)P[83];
-    c->arr_len = (int32_t *)P[84];
-    c->dst_buf = (int32_t *)P[85];
-    c->dst_pos = (int32_t *)P[86];
-    c->dst_len = (int32_t *)P[87];
-    c->GB = P[88];
-    c->qnext = (int32_t *)P[89];
-    c->qhead = (int32_t *)P[90];
-    c->qtail = (int32_t *)P[91];
-    c->qlen = (int32_t *)P[92];
-    c->act = (uint8_t *)P[93];
-    c->cb = (starnet_cb)(intptr_t)P[94];
-    c->generated = (int64_t *)P[95];
-    c->meas_generated = (int64_t *)P[96];
-    c->warm = (const int64_t *)P[97];
-    c->horizon = (const int64_t *)P[98];
-    c->end = (const int64_t *)P[99];
-    c->active = (uint8_t *)P[100];
-    c->slots = P[101];
-    c->grace = P[102];
-    c->marks = (int64_t *)P[103];
-    c->lastp = (int64_t *)P[104];
-    c->sample_interval = P[105];
-    c->ugate = (int64_t *)P[106];
-    c->run_state = (int64_t *)P[107];
-    c->prof = (int64_t *)P[108];
-    c->pb_data = (int64_t *)P[109];
-    c->pb_cycles = (int64_t *)P[110];
-    c->pb_state = (int64_t *)P[111];
-    c->pb_interval = P[112];
-    c->pb_cap = P[113];
-    c->ms = (int64_t)c->M << 16;
-    c->CV = c->C * c->V;
-}
-
 /* Time-series probe: one ring-buffer sample of the batch's occupancy
  * state after the probed cycle's phases.  Observation-only — it reads
  * counters the phases already maintain and writes only the side
  * buffers — so results are bit-identical probed or not.
- * The caller's NULL check on pb_data keeps the probes-off path to one
+ * The caller's NULL check on probe_data keeps the probes-off path to one
  * predictable branch per cycle, the prof_now contract. */
 static void probe_sample(const Ctx *c, int64_t cycle)
 {
-    const int64_t s = c->pb_state[0];
-    if (s >= c->pb_cap)
+    const int64_t s = c->probe_state[0];
+    if (s >= c->probe_capacity)
         return;
-    const int64_t row = 3 + c->V + 1;
-    int64_t *dst = c->pb_data + s * c->R * row;
-    for (int64_t r = 0; r < c->R; ++r, dst += row) {
+    const int64_t row = 3 + c->num_vcs + 1;
+    int64_t *dst = c->probe_data + s * c->replications * row;
+    for (int64_t r = 0; r < c->replications; ++r, dst += row) {
         dst[0] = c->in_flight[r];
         dst[1] = c->completed[r];
         int64_t backlog = 0;
-        const int32_t *ql = c->qlen + r * c->N;
-        for (int64_t u = 0; u < c->N; ++u)
+        const int32_t *ql = c->qlen + r * c->num_nodes;
+        for (int64_t u = 0; u < c->num_nodes; ++u)
             backlog += ql[u];
         dst[2] = backlog;
-        for (int64_t v = 0; v <= c->V; ++v)
+        for (int64_t v = 0; v <= c->num_vcs; ++v)
             dst[3 + v] = 0;
-        const uint8_t *b = c->busy + r * c->C;
-        for (int64_t ch = 0; ch < c->C; ++ch)
+        const uint8_t *b = c->ch_busy + r * c->num_channels;
+        for (int64_t ch = 0; ch < c->num_channels; ++ch)
             dst[3 + b[ch]] += 1;
     }
-    c->pb_cycles[s] = cycle;
-    c->pb_state[0] = s + 1;
+    c->probe_cycles[s] = cycle;
+    c->probe_state[0] = s + 1;
 }
 
 /* Route row (cur, dst): {dist, nports, ports...}, filled on first use
  * by the kind-2 callback.  NULL once a callback has raised. */
 static const int8_t *route_row(Ctx *c, int64_t cur, int64_t dst)
 {
-    const int8_t *row = c->route + (cur * c->N + dst) * c->route_w;
+    const int8_t *row = c->route + (cur * c->num_nodes + dst) * c->route_w;
     if (row[0] < 0 && (c->cberr || c->cb(2, cur, dst) < 0)) {
         c->cberr = 1;
         return NULL;
@@ -478,12 +390,12 @@ static const int32_t *class_entry(const Ctx *c, int64_t d, int64_t col,
  * accumulated as integers so every driver produces the same sums. */
 static void load_sample(const Ctx *c, int64_t cycle)
 {
-    for (int64_t r = 0; r < c->R; ++r) {
+    for (int64_t r = 0; r < c->replications; ++r) {
         if (!c->active[r] || cycle < c->warm[r])
             continue;
         int64_t sv = 0, sv2 = 0, nb = 0;
-        const uint8_t *b = c->busy + r * c->C;
-        for (int64_t ch = 0; ch < c->C; ++ch) {
+        const uint8_t *b = c->ch_busy + r * c->num_channels;
+        for (int64_t ch = 0; ch < c->num_channels; ++ch) {
             const int64_t v = b[ch];
             if (v) {
                 sv += v;
@@ -505,18 +417,20 @@ static void load_sample(const Ctx *c, int64_t cycle)
  * global phase order: no phase reads another replication's state. */
 static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
 {
-    const int64_t C = c->C, V = c->V, cap = c->cap, N = c->N;
+    const int64_t C = c->num_channels, V = c->num_vcs;
+    const int64_t cap = c->capacity, N = c->num_nodes;
     const int64_t CV = c->CV;
     const int32_t ms = (int32_t)c->ms;
-    const int32_t M = c->M, depth = c->depth, ej_rate = c->ej_rate;
+    const int32_t M = c->message_length, depth = c->buffer_depth;
+    const int32_t ej_rate = c->ejection_rate;
     const int8_t *lut = c->lut;
-    int32_t *bd = c->bd, *avail = c->avail, *owner = c->owner;
-    int32_t *up = c->up, *down = c->down, *rr = c->rr;
-    uint8_t *busy = c->busy;
+    int32_t *bd = c->vc_bd, *avail = c->vc_avail, *owner = c->vc_owner;
+    int32_t *up = c->vc_upstream, *down = c->vc_downstream, *rr = c->ch_rr;
+    uint8_t *busy = c->ch_busy;
 
-    for (int64_t r = 0; r < c->R; ++r) {
-        int64_t *ts = c->tstage + r * 8;
-        const int64_t newej_base = ts[6];
+    for (int64_t r = 0; r < c->replications; ++r) {
+        RepStage *st = c->stage + r;
+        const int64_t newej_base = st->newej_base;
         int64_t grants_r = 0, busy_delta_r = 0, err_r = 0;
         int64_t fn_r = 0, newej_r = 0;
         const int64_t rowoff = r * CV;
@@ -539,8 +453,8 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
             for (int64_t i = 0; i < n; ++i) {
                 const int32_t s = ns[i];
                 const int64_t mf = r * cap + s;
-                if (c->p_first[mf] < 0)
-                    c->p_first[mf] = (int32_t)cycle;
+                if (c->p_first_attempt[mf] < 0)
+                    c->p_first_attempt[mf] = (int32_t)cycle;
                 const int64_t cur = c->p_header[mf];
                 const int8_t *row =
                     c->route + (cur * N + c->p_dst[mf]) * c->route_w;
@@ -554,16 +468,18 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 /* candidates port-major in ports() order, then ascending
                  * VC index, adaptive before escape; each list holds at
                  * most deg * V entries */
-                int32_t *fa = c->alloc_scr, *fe = c->alloc_scr + c->deg * V;
+                int32_t *fa = c->alloc_scr, *fe = c->alloc_scr + c->degree * V;
                 int64_t na = 0, ne = 0;
                 for (int64_t p = 0; p < row[1]; ++p) {
-                    const int32_t vc0 = (int32_t)((cur * c->deg + row[2 + p]) * V);
+                    const int32_t vc0 =
+                        (int32_t)((cur * c->degree + row[2 + p]) * V);
                     for (int32_t j = e[0]; j < e[0] + e[1]; ++j)
                         if (owner[rowoff + vc0 + j] < 0)
                             fa[na++] = vc0 + j;
                 }
                 for (int64_t p = 0; p < row[1]; ++p) {
-                    const int32_t vc0 = (int32_t)((cur * c->deg + row[2 + p]) * V);
+                    const int32_t vc0 =
+                        (int32_t)((cur * c->degree + row[2 + p]) * V);
                     for (int32_t j = e[2]; j < e[2] + e[3]; ++j)
                         if (owner[rowoff + vc0 + j] < 0)
                             fe[ne++] = vc0 + j;
@@ -614,19 +530,19 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                     ns[keep++] = s;
                     continue;
                 }
-                if (c->measured[mf]) {
+                if (c->msg_measured[mf]) {
                     int64_t k = c->p_hops[mf] + 1;
                     if (k > c->hb_max)
                         k = c->hb_max;
                     const int64_t hb = r * (c->hb_max + 1) + k;
                     c->hb_req[hb] += 1;
-                    const int64_t waited = cycle - c->p_first[mf];
+                    const int64_t waited = cycle - c->p_first_attempt[mf];
                     if (waited > 0) {
                         c->hb_blk[hb] += 1;
                         c->hb_wait[hb] += waited;
                     }
                 }
-                c->p_first[mf] = -1;
+                c->p_first_attempt[mf] = -1;
                 /* acquire */
                 const int64_t chan = flat / V;
                 const int32_t vi = (int32_t)(flat - chan * V);
@@ -639,8 +555,8 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                     down[ap] = (int32_t)flat;
                 } else { /* whole worm still at the source PE */
                     avail[af] = M;
-                    c->t_inject[mf] = (double)cycle;
-                    if (c->measured[mf])
+                    c->msg_t_inject[mf] = (double)cycle;
+                    if (c->msg_measured[mf])
                         c->injected[r] += 1;
                 }
                 owner[af] = s;
@@ -648,11 +564,12 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 down[af] = -1;
                 busy[r * C + chan] += 1;
                 c->p_head_vc[mf] = (int32_t)flat;
-                c->vcs_held[mf] += 1;
+                c->msg_vcs_held[mf] += 1;
                 busy_delta_r += 1;
                 const int32_t fbase =
-                    vi < c->num_adaptive ? c->p_floor[mf] : vi - c->num_adaptive;
-                c->p_floor[mf] = fbase + (c->color[chan / c->deg] ? 1 : 0);
+                    vi < c->num_adaptive ? c->p_floor[mf]
+                                         : vi - c->num_adaptive;
+                c->p_floor[mf] = fbase + (c->color[chan / c->degree] ? 1 : 0);
                 c->p_hops[mf] += 1;
                 const int32_t nxt = c->neighbors[chan];
                 c->p_header[mf] = nxt;
@@ -678,8 +595,8 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
          * acquired this cycle sit at bd == 0 and contribute k == 0, so
          * the staged entries need no pick).  The bucket (counting-sort
          * order) visits the rep's rows in ascending column order. */
-        const int64_t bend = ts[7];
-        const int64_t bstart = r ? c->tstage[(r - 1) * 8 + 7] : 0;
+        const int64_t bend = st->bucket_end;
+        const int64_t bstart = r ? c->stage[r - 1].bucket_end : 0;
         for (int64_t b = bstart; b < bend; ++b) {
             const int64_t i = c->completions[b];
             int32_t k = bd[c->ej_flats[i]] & 0xFFFF;
@@ -757,14 +674,14 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 const int32_t nb = bd[ux] - 1; /* flit leaves upstream */
                 bd[ux] = nb;
                 if (nb == ms) { /* upstream fully drained: release it */
-                    c->vcs_held[r * cap + owner[ux]] -= 1;
+                    c->msg_vcs_held[r * cap + owner[ux]] -= 1;
                     owner[ux] = -1;
                     busy[uu / V + r * C] -= 1;
                     busy_delta_r -= 1;
                 }
             } else if (avail[x] == 0) { /* tail flit left the source PE */
                 const int32_t node = c->msg_src[r * cap + owner[x]];
-                c->active_inj[r * N + node] -= 1;
+                c->active_injections[r * N + node] -= 1;
                 c->fin_nodes[r * C + fn_r++] = r * N + node;
             }
             const int32_t dd = down[x];
@@ -785,7 +702,7 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
             const int32_t ne = c->msg_ejected[c->ej_mflats[i]] + k;
             c->msg_ejected[c->ej_mflats[i]] = ne;
             if (nb == ms) { /* head drained: release it */
-                c->vcs_held[r * cap + owner[x]] -= 1;
+                c->msg_vcs_held[r * cap + owner[x]] -= 1;
                 owner[x] = -1;
                 busy[(x % CV) / V + r * C] -= 1;
                 busy_delta_r -= 1;
@@ -794,10 +711,10 @@ static void rep_phases(Ctx *c, int64_t cycle, int64_t do_alloc)
                 c->ej_k[i] = -1;
         }
 
-        ts[1] = busy_delta_r;
-        ts[2] = fn_r;
-        ts[4] = err_r;
-        ts[5] = newej_r;
+        st->busy_delta = busy_delta_r;
+        st->fin_n = fn_r;
+        st->err = err_r;
+        st->newej_n = newej_r;
     }
 }
 
@@ -812,8 +729,8 @@ typedef struct CycleOut {
 static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
                        int64_t ej_n_old, CycleOut *o)
 {
-    const int64_t R = c->R, C = c->C, cap = c->cap;
-    const int64_t pt0 = prof_now(c->prof);
+    const int64_t R = c->replications, C = c->num_channels, cap = c->capacity;
+    const int64_t pt0 = prof_now(c->phase_ns);
 
     /* Staging bases: new ejection columns land at ej_n_old plus the
      * prefix sum of pending-header counts (an upper bound on each
@@ -821,10 +738,10 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
      * layout is exactly the serial append order. */
     int64_t off = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
-        int64_t *ts = c->tstage + r * 8;
-        ts[1] = ts[2] = ts[4] = ts[5] = 0;
-        ts[6] = off;
-        ts[7] = 0;
+        RepStage *st = c->stage + r;
+        st->busy_delta = st->fin_n = st->err = st->newej_n = 0;
+        st->newej_base = off;
+        st->bucket_end = 0;
         if (do_alloc)
             off += c->need_n[r];
     }
@@ -832,18 +749,18 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     /* Rep buckets of the live ejection columns: a stable counting sort
      * into the completions scratch (dead until the merge reuses it)
      * lets phases 4a/4b walk each replication's own rows instead of
-     * filtering the whole column set R times.  Staging slot 7 ends up
-     * holding each rep's bucket END; its start is the previous end. */
+     * filtering the whole column set R times.  Each rep's bucket_end ends up
+     * holding its bucket END; its start is the previous rep's end. */
     for (int64_t i = 0; i < ej_n_old; ++i)
-        c->tstage[c->ej_reps[i] * 8 + 7] += 1;
+        c->stage[c->ej_reps[i]].bucket_end += 1;
     int64_t acc = 0;
     for (int64_t r = 0; r < R; ++r) {
-        const int64_t cnt = c->tstage[r * 8 + 7];
-        c->tstage[r * 8 + 7] = acc;
+        const int64_t cnt = c->stage[r].bucket_end;
+        c->stage[r].bucket_end = acc;
         acc += cnt;
     }
     for (int64_t i = 0; i < ej_n_old; ++i)
-        c->completions[c->tstage[c->ej_reps[i] * 8 + 7]++] = i;
+        c->completions[c->stage[c->ej_reps[i]].bucket_end++] = i;
 
     rep_phases(c, cycle, do_alloc);
 
@@ -851,11 +768,11 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     int64_t busy_delta = 0, err = 0;
     int64_t ej_n = ej_n_old;
     for (int64_t r = 0; r < R; ++r) {
-        const int64_t *ts = c->tstage + r * 8;
-        busy_delta += ts[1];
-        err |= ts[4];
-        const int64_t base = ts[6];
-        for (int64_t j = 0; j < ts[5]; ++j) {
+        const RepStage *st = c->stage + r;
+        busy_delta += st->busy_delta;
+        err |= st->err;
+        const int64_t base = st->newej_base;
+        for (int64_t j = 0; j < st->newej_n; ++j) {
             const int64_t src = base + j;
             if (src != ej_n) {
                 c->ej_reps[ej_n] = c->ej_reps[src];
@@ -868,16 +785,16 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
         }
     }
     /* Replication 0's entries are already in place at offset 0. */
-    int64_t fn = c->tstage[2];
+    int64_t fn = c->stage[0].fin_n;
     for (int64_t r = 1; r < R; ++r)
-        for (int64_t j = 0; j < c->tstage[r * 8 + 2]; ++j)
+        for (int64_t j = 0; j < c->stage[r].fin_n; ++j)
             c->fin_nodes[fn++] = c->fin_nodes[r * C + j];
     if (c->cberr)
         err |= ERR_CALLBACK;
     /* route (phases 2-4) ends here; the completion tail is phase 5 */
-    const int64_t pt1 = prof_now(c->prof);
-    if (c->prof)
-        c->prof[2] += pt1 - pt0;
+    const int64_t pt1 = prof_now(c->phase_ns);
+    if (c->phase_ns)
+        c->phase_ns[2] += pt1 - pt0;
 
     int64_t cn = 0;
     for (int64_t i = 0; i < ej_n_old; ++i)
@@ -896,26 +813,26 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     for (int64_t j = 0; j < cn; ++j) {
         const int64_t mf = c->completions[j];
         const int64_t r = mf / cap;
-        if (c->vcs_held[mf] != 0)
+        if (c->msg_vcs_held[mf] != 0)
             err |= ERR_INVARIANT; /* completed message still owns channels */
         c->in_flight[r] -= 1;
         c->completed[r] += 1;
-        if (c->measured[mf]) {
-            c->meas_flight[r] -= 1;
-            const double tg = c->t_gen[mf];
+        if (c->msg_measured[mf]) {
+            c->measured_in_flight[r] -= 1;
+            const double tg = c->msg_t_gen[mf];
             const double t_done = (double)(cycle + 1);
             const double v = t_done - tg;
             c->lat_sum[r] += v;
-            c->net_sum[r] += t_done - c->t_inject[mf];
-            c->srcw_sum[r] += c->t_inject[mf] - tg;
+            c->net_sum[r] += t_done - c->msg_t_inject[mf];
+            c->srcw_sum[r] += c->msg_t_inject[mf] - tg;
             c->mcount[r] += 1;
             int64_t b = (int64_t)((tg - c->w_t0[r]) / c->w_width[r]);
             if (b < 0)
                 b = 0;
             if (b > c->w_batches[r] - 1)
                 b = c->w_batches[r] - 1;
-            c->lat_bsum[r * c->Bmax + b] += v;
-            c->lat_bcount[r * c->Bmax + b] += 1;
+            c->lat_bsum[r * c->max_batches + b] += v;
+            c->lat_bcount[r * c->max_batches + b] += 1;
         }
         /* push the message slot back on its replication's free stack */
         c->p_head_vc[mf] = -1;
@@ -941,8 +858,8 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
     for (int64_t r = 0; r < R; ++r)
         need_total += c->need_n[r];
 
-    if (c->prof)
-        c->prof[3] += prof_now(c->prof) - pt1;
+    if (c->phase_ns)
+        c->phase_ns[3] += prof_now(c->phase_ns) - pt1;
 
     o->busy_delta = busy_delta;
     o->fn = fn;
@@ -971,9 +888,9 @@ static void run_phases(Ctx *c, int64_t cycle, int64_t do_alloc,
  * gen_next > cycle and are skipped; this one resumes at the same event. */
 static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
 {
-    const int64_t N = c->N, GB = c->GB, cap = c->cap;
+    const int64_t N = c->num_nodes, GB = c->gen_block, cap = c->capacity;
     const double fcycle = (double)cycle;
-    for (int64_t r = 0; r < c->R; ++r) {
+    for (int64_t r = 0; r < c->replications; ++r) {
         if (c->gen_next[r] > fcycle)
             continue;
         double *nt = c->gen_node_t + r * N;
@@ -1016,20 +933,20 @@ static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
             c->free_n[r] = fn2;
             const int32_t s = c->free_stack[r * cap + fn2];
             const int64_t mf = r * cap + s;
-            c->t_gen[mf] = best;
+            c->msg_t_gen[mf] = best;
             c->msg_src[mf] = (int32_t)node;
             c->msg_ejected[mf] = 0;
             const uint8_t measured = best >= fwarm && best < fhorizon;
-            c->measured[mf] = measured;
+            c->msg_measured[mf] = measured;
             c->p_dst[mf] = dst;
             c->p_header[mf] = (int32_t)node;
             c->p_dist[mf] = dist;
             c->p_floor[mf] = 0;
             c->p_hops[mf] = 0;
-            c->p_first[mf] = -1;
+            c->p_first_attempt[mf] = -1;
             c->generated[r] += 1;
             if (measured)
-                c->meas_generated[r] += 1;
+                c->measured_generated[r] += 1;
             /* append to the node's source queue */
             c->qnext[r * cap + s] = -1;
             if (c->qtail[rn] < 0)
@@ -1059,14 +976,15 @@ static int gen_cycle(Ctx *c, int64_t cycle, int *act_any)
  * filled. */
 static void act_cycle(const Ctx *c, int64_t *need_total)
 {
-    const int64_t N = c->N, cap = c->cap;
-    for (int64_t r = 0; r < c->R; ++r) {
+    const int64_t N = c->num_nodes, cap = c->capacity;
+    for (int64_t r = 0; r < c->replications; ++r) {
         const int64_t rN = r * N;
         for (int64_t node = 0; node < N; ++node) {
             const int64_t rn = rN + node;
             if (!c->act[rn])
                 continue;
-            while (c->qlen[rn] && c->active_inj[rn] < c->slots) {
+            while (c->qlen[rn]
+                   && c->active_injections[rn] < c->injection_slots) {
                 const int32_t s = c->qhead[rn];
                 const int64_t mf = r * cap + s;
                 const int32_t nxt = c->qnext[r * cap + s];
@@ -1074,10 +992,10 @@ static void act_cycle(const Ctx *c, int64_t *need_total)
                 if (nxt < 0)
                     c->qtail[rn] = -1;
                 c->qlen[rn] -= 1;
-                c->active_inj[rn] += 1;
+                c->active_injections[rn] += 1;
                 c->in_flight[r] += 1;
-                if (c->measured[mf])
-                    c->meas_flight[r] += 1;
+                if (c->msg_measured[mf])
+                    c->measured_in_flight[r] += 1;
                 c->need_slots[r * cap + c->need_n[r]] = s;
                 c->need_n[r] += 1;
                 *need_total += 1;
@@ -1087,20 +1005,21 @@ static void act_cycle(const Ctx *c, int64_t *need_total)
     }
 }
 
-int64_t starnet_run(int64_t *P)
+/* One call from the block's current cycle.  limit < 0 runs until a
+ * replication reaches its stop condition; otherwise the loop advances to
+ * cycle `limit` and applies no stop conditions (ArraySimulator.step). */
+int64_t starnet_run(Params *p, int64_t limit)
 {
     Ctx c;
-    decode(&c, P);
-    int64_t *RS = c.run_state;
-    int64_t cycle = RS[0];
-    int64_t busy_vcs = RS[1];
-    int64_t ej_n = RS[2];
-    int64_t need_total = RS[3];
-    const int64_t limit = RS[6];
-    int64_t reason = 0, aux = 0;
-    const int64_t R = c.R, N = c.N;
+    load_ctx(&c, p);
+    int64_t cycle = p->cycle;
+    int64_t busy_vcs = p->busy_vcs;
+    int64_t ej_n = p->ej_n;
+    int64_t need_total = p->need_total;
+    int64_t reason = 0;
+    const int64_t R = c.replications, N = c.num_nodes;
     /* fixed ejection rows: each pending header may append one */
-    const int64_t ej_rows = R * (c.CV + N * c.slots);
+    const int64_t ej_rows = R * (c.CV + N * c.injection_slots);
 
     int act_any = 0;
     for (int64_t i = 0; i < R * N; ++i)
@@ -1120,7 +1039,7 @@ int64_t starnet_run(int64_t *P)
         } else {
             for (int64_t r = 0; r < R; ++r)
                 if (c.active[r] && cycle >= c.horizon[r]
-                    && (cycle >= c.end[r] || c.meas_flight[r] == 0)) {
+                    && (cycle >= c.end[r] || c.measured_in_flight[r] == 0)) {
                     reason = RUN_STOP;
                     goto out;
                 }
@@ -1128,10 +1047,10 @@ int64_t starnet_run(int64_t *P)
 
         /* phase 1 — generation, then activation */
         {
-            const int64_t tp = prof_now(c.prof);
+            const int64_t tp = prof_now(c.phase_ns);
             const int g = gen_cycle(&c, cycle, &act_any);
-            if (c.prof)
-                c.prof[0] += prof_now(c.prof) - tp;
+            if (c.phase_ns)
+                c.phase_ns[0] += prof_now(c.phase_ns) - tp;
             if (g == GEN_CBERR) {
                 reason = RUN_CBERR;
                 goto out;
@@ -1142,10 +1061,10 @@ int64_t starnet_run(int64_t *P)
             }
         }
         if (act_any) {
-            const int64_t tp = prof_now(c.prof);
+            const int64_t tp = prof_now(c.phase_ns);
             act_cycle(&c, &need_total);
-            if (c.prof)
-                c.prof[1] += prof_now(c.prof) - tp;
+            if (c.phase_ns)
+                c.phase_ns[1] += prof_now(c.phase_ns) - tp;
             act_any = 0;
         }
 
@@ -1163,8 +1082,8 @@ int64_t starnet_run(int64_t *P)
                  * shortage calls back (kind 4) so Python refills the
                  * buffer. */
                 const int64_t bound = 2 * need_total;
-                if (c.ugate[1] + bound <= c.ugate[0]) {
-                    c.ugate[1] += bound;
+                if (p->ugate_spend + bound <= p->ugate_headroom) {
+                    p->ugate_spend += bound;
                 } else {
                     int short_any = 0;
                     int64_t posmax = 0;
@@ -1181,8 +1100,8 @@ int64_t starnet_run(int64_t *P)
                         }
                         load_uniforms(&c);
                     } else {
-                        c.ugate[0] = c.buf_cap - posmax;
-                        c.ugate[1] = bound;
+                        p->ugate_headroom = c.buf_cap - posmax;
+                        p->ugate_spend = bound;
                     }
                 }
             }
@@ -1204,15 +1123,16 @@ int64_t starnet_run(int64_t *P)
         /* watchdog — every 32 cycles, ascending reps, first stall wins */
         if ((cycle & 31) == 0) {
             for (int64_t r = 0; r < R; ++r) {
-                const int64_t p = c.transfers[r] + c.completed[r]
-                                  + c.alloc_attempts[r] - c.alloc_failures[r];
-                if (p != c.marks[r]) {
-                    c.marks[r] = p;
-                    c.lastp[r] = cycle;
+                const int64_t prog = c.transfers[r] + c.completed[r]
+                                     + c.alloc_attempts[r]
+                                     - c.alloc_failures[r];
+                if (prog != c.progress_marks[r]) {
+                    c.progress_marks[r] = prog;
+                    c.last_progress[r] = cycle;
                 } else if (c.in_flight[r] > 0
-                           && cycle - c.lastp[r] > c.grace) {
+                           && cycle - c.last_progress[r] > c.grace) {
                     reason = RUN_WATCHDOG;
-                    aux = r;
+                    p->stalled_rep = r;
                     goto out; /* Python raises at this cycle */
                 }
             }
@@ -1224,18 +1144,16 @@ int64_t starnet_run(int64_t *P)
          * transient). */
         if (cycle % c.sample_interval == 0)
             load_sample(&c, cycle);
-        if (c.pb_data && cycle % c.pb_interval == 0)
+        if (c.probe_data && cycle % c.probe_interval == 0)
             probe_sample(&c, cycle);
 
         cycle += 1;
     }
 
 out:
-    RS[0] = cycle;
-    RS[1] = busy_vcs;
-    RS[2] = ej_n;
-    RS[3] = need_total;
-    RS[4] = reason;
-    RS[5] = aux;
+    p->cycle = cycle;
+    p->busy_vcs = busy_vcs;
+    p->ej_n = ej_n;
+    p->need_total = need_total;
     return reason;
 }

@@ -21,9 +21,11 @@ atomically, exactly like the object engine's two-phase update.
 
 Every cycle runs in one compiled C function, ``starnet_run``
 (``_ckernel.c``, built by :mod:`repro.simulation.ckernel`), over
-structure-of-arrays state (:class:`~repro.simulation.state.SimState`
-plus the side arrays set up here).  Python sets the state up, services
-the loop's callbacks and reads the results; it never runs a cycle.
+structure-of-arrays state (:class:`~repro.simulation.state.SimState`,
+the one owner of every array and scalar the loop sees, filled into the
+kernel's parameter block by name).  This module is the driver: it draws
+the random blocks, services the loop's callbacks, grows the message pool
+and reads the results; it never runs a cycle.
 Without a C compiler the array engine refuses to construct and names
 ``engine='object'``, the readable reference engine and test oracle.
 Design choices:
@@ -40,7 +42,8 @@ Design choices:
   tables: a packed route table ``route[cur * N + dst] = {dist, nports,
   ports...}`` (int8, ``dist = -1`` until first asked for, then filled
   by :meth:`ArraySimulator._fill_route`) and an eligibility-class table
-  built eagerly from :meth:`RoutingAlgorithm.eligible` over every
+  built eagerly (:func:`~repro.simulation.state.build_class_table`) from
+  :meth:`RoutingAlgorithm.eligible` over every
   (remaining distance, colour, escape floor) — the paper's equations
   (9)-(11).  Candidates are enumerated port-major in ``ports()`` order,
   then ascending VC index, adaptive before escape.  The escape-floor
@@ -86,32 +89,16 @@ import weakref
 
 import numpy as np
 
-from repro.routing.base import MessageRouteState, RoutingAlgorithm, SelectionPolicy
-from repro.simulation.ckernel import kernel_error, load_kernel
+from repro.routing.base import RoutingAlgorithm
+from repro.simulation.ckernel import ParamBlock, kernel_error, kernel_fields, load_kernel
 from repro.simulation.config import SimulationConfig
 from repro.simulation.metrics import HopBlockingStats, SimulationResult, t_halfwidth
-from repro.simulation.state import MAX_BUFFER_DEPTH, SimState
+from repro.simulation.state import SimState
 from repro.topology.base import Topology
 from repro.utils.exceptions import ConfigurationError, SimulationError
 from repro.utils.rng import StreamBank, spawn_generator
 
 __all__ = ["ArraySimulator"]
-
-#: Widest VC count the packed round-robin lookup table supports; wider
-#: configurations use the kernel's cyclic-offset scan.
-_MAX_LUT_VCS = 15
-
-#: Slot of the uniform buffer in the kernel's parameter block (layout in
-#: _ckernel.c, kept in lockstep with _refresh_c_args); a kind-4 callback
-#: that widens the buffer patches it and the next slot in place.
-_UNIFORM_SLOT = 49
-
-#: Arrival-instant / destination block size per (replication, node).
-_GEN_BLOCK = 64
-
-#: Largest network the array backend takes: the N x N route table
-#: grows quadratically (larger networks run on engine='object').
-_MAX_NODES = 2048
 
 #: starnet_run return reasons, one per return (mirrored in _ckernel.c).
 _RUN_STOP = 1
@@ -148,10 +135,8 @@ def _weak_dispatch(method):
     return dispatch
 
 
-#: Phase-profiling slot names of ``SimState.phase_ns`` (slots 0-3,
-#: written by the kernel; slot 5 holds the total run() wall time).
+#: Phase names of ``SimState.phase_ns``, in kernel order.
 _PROF_PHASES = ("generation", "activation", "route", "complete")
-_PROF_TOTAL_SLOT = 5
 
 #: Structural config fields every replication of one batch must share.
 _SHARED_FIELDS = (
@@ -164,21 +149,6 @@ _SHARED_FIELDS = (
     "sample_interval",
     "watchdog_grace",
 )
-
-
-def _build_rr_lut(num_vcs: int) -> np.ndarray:
-    """Round-robin winner table: ``lut[rr << V | bits]`` is the first VC
-    index at or cyclically after ``rr`` whose candidate bit is set in
-    ``bits`` (-1 when ``bits`` is empty)."""
-    V = num_vcs
-    bits = np.arange(1 << V)
-    lut = np.full((V, 1 << V), -1, dtype=np.int8)
-    for start in range(V):
-        # Nearest offset wins: write farthest first so closer overwrite.
-        for step in reversed(range(V)):
-            v = (start + step) % V
-            lut[start, ((bits >> v) & 1) == 1] = v
-    return lut.ravel()
 
 
 class ArraySimulator:
@@ -251,6 +221,15 @@ class ArraySimulator:
                 raise ConfigurationError(
                     "batched configs must share effective injection slots"
                 )
+        for c in configs:
+            if c.batches < 1:
+                raise ValueError("batches must be >= 1")
+            if c.horizon <= c.warmup_cycles:
+                raise ValueError("empty measurement window")
+        if probe_interval is not None and probe_interval < 1:
+            raise ConfigurationError(
+                f"probe_interval must be >= 1, got {probe_interval}"
+            )
         self._kernel = load_kernel()
         if self._kernel is None:
             raise ConfigurationError(
@@ -264,79 +243,28 @@ class ArraySimulator:
         self.seeds = tuple(c.seed for c in configs)
         self.vc_config = algorithm.make_vc_config(base.total_vcs, topology)
         algorithm.validate(self.vc_config, topology)
-        if base.buffer_depth > MAX_BUFFER_DEPTH:
-            raise ConfigurationError(
-                f"array backend supports buffer_depth <= {MAX_BUFFER_DEPTH} "
-                "(use engine='object')"
-            )
-        if topology.num_nodes > _MAX_NODES or max(
-            topology.degree, topology.diameter()
-        ) > 127:
-            raise ConfigurationError(
-                f"array backend supports at most {_MAX_NODES} nodes with "
-                f"degree and diameter <= 127 (an int8 route table), got "
-                f"{topology.name} (use engine='object')"
-            )
         if type(algorithm).advance_floor is not RoutingAlgorithm.advance_floor:
             raise ConfigurationError(
                 f"{algorithm.name}: the array backend runs the stock "
                 f"advance_floor arithmetic, which {type(algorithm).__name__} "
                 "overrides (use engine='object')"
             )
-
-        R = len(configs)
-        N = topology.num_nodes
-        V = base.total_vcs
-
-        self._M = base.message_length
-        self._depth = base.buffer_depth
-        self._ej_rate = base.ejection_rate
-        self._slots = base.effective_injection_slots()
-        self._V = V
-        self._deg = topology.degree
-        self._C = topology.num_channels
-        self._R = R
-        self._N = N
-        self.state = SimState(
-            topology, V, self._M, R, initial_capacity=max(64, 2 * N * self._slots)
-        )
         self.profile = bool(profile)
-        #: Phase-timing accumulators, or None when profiling is off.
-        self._prof = self.state.phase_ns if self.profile else None
-        if probe_interval is not None and probe_interval < 1:
-            raise ConfigurationError(
-                f"probe_interval must be >= 1, got {probe_interval}"
-            )
-        #: Time-series probe stride in cycles, or None when probing is
-        #: off (the ring buffers are allocated after the measurement
-        #: windows are known, below).
+        #: Time-series probe stride in cycles, or None when probing is off.
         self._probe_int = None if probe_interval is None else int(probe_interval)
-        self._color_np = np.array(
-            [topology.color(u) for u in range(N)], dtype=np.uint8
+        self.state = st = SimState(
+            topology,
+            algorithm,
+            self.vc_config,
+            configs,
+            profile=self.profile,
+            probe_interval=self._probe_int,
         )
-        #: Flat neighbor list: entry ``channel`` = node reached through it.
-        self._neighbors_np = np.ascontiguousarray(
-            topology.neighbor_table.ravel(), dtype=np.int32
-        )
-        #: Route table, one packed int8 row {dist, nports, ports...} per
-        #: (cur, dst) pair; dist = -1 until _fill_route resolves the row
-        #: (at generation for (src, dst), at a ready event for (cur, dst)).
-        self._route_state = MessageRouteState()
-        self._route_w = 2 + self._deg
-        self._route = np.full(N * N * self._route_w, -1, dtype=np.int8)
-        self._build_class_table()
-        # Round-robin winners come from a packed lookup table up to
-        # _MAX_LUT_VCS; wider VC counts use the kernel's cyclic scan.
-        self._lut = _build_rr_lut(V) if V <= _MAX_LUT_VCS else None
-        self._policy_code = {
-            SelectionPolicy.ADAPTIVE_FIRST: 0,
-            SelectionPolicy.LOWEST_ESCAPE: 1,
-            SelectionPolicy.RANDOM: 2,
-        }[algorithm.policy]
 
         # -- per-replication random streams ------------------------------
         # Same (seed, name) keys as a single run with that seed, so each
         # replication's draws are a pure function of its own config.
+        R, N = st.replications, st.num_nodes
         self.workload = base.workload_spec()
         #: One spatial pattern per replication: a stateful pattern (trace
         #: replay keeps a cursor per source) must not couple replications.
@@ -344,16 +272,8 @@ class ArraySimulator:
             self.workload.build_spatial(topology=topology) for _ in configs
         ]
         self._alloc_gen = [spawn_generator(c.seed, "allocator") for c in configs]
-        self._buf_cap = 4096
-        self._alloc_buf = np.empty((R, self._buf_cap), dtype=np.float64)
         for rep in range(R):
-            self._alloc_buf[rep] = self._alloc_gen[rep].random(self._buf_cap)
-        self._alloc_pos = np.zeros(R, dtype=np.int64)
-        #: Amortized shortage gate {headroom, spend} shared with the
-        #: kernel (see _ensure_uniforms): headroom is a lower bound on
-        #: every row's remaining variates at the last exact check, spend
-        #: an upper bound on any row's consumption since.
-        self._c_ugate = np.array([self._buf_cap, 0], dtype=np.int64)
+            st.alloc_buf[rep] = self._alloc_gen[rep].random(st.buf_cap)
         #: Arrival streams (rep * N + node), then destination streams
         #: (R * N + rep * N + node): the same draws as RngStreams'
         #: traffic(node) and dest(node) for that replication's seed.
@@ -361,17 +281,6 @@ class ArraySimulator:
             [(c.seed, "traffic", u) for c in configs for u in range(N)]
             + [(c.seed, "dest", u) for c in configs for u in range(N)]
         )
-        # Generation state: pre-drawn arrival/destination blocks with
-        # cursors, the next-arrival instant per node, and the linked-list
-        # source queues below.  One outstanding arrival per node makes the
-        # event order canonical — the smallest (instant, node) pair.
-        self._arr_buf = np.zeros((R, N, _GEN_BLOCK), dtype=np.float64)
-        self._arr_pos = np.zeros((R, N), dtype=np.int32)
-        self._arr_len = np.zeros((R, N), dtype=np.int32)
-        self._dst_buf = np.zeros((R, N, _GEN_BLOCK), dtype=np.int32)
-        self._dst_pos = np.zeros((R, N), dtype=np.int32)
-        self._dst_len = np.zeros((R, N), dtype=np.int32)
-        self._gen_node_t = np.full((R, N), math.inf, dtype=np.float64)
         self._sources = [[None] * N for _ in range(R)]
         for rep in range(R):
             for node in range(N):
@@ -382,133 +291,34 @@ class ArraySimulator:
                 self._sources[rep][node] = src
                 if src.rate == 0:
                     continue
-                buf = src.draw_block(_GEN_BLOCK)
-                self._arr_buf[rep, node, : len(buf)] = buf
-                self._arr_len[rep, node] = len(buf)
+                self._refill_arr(rep, node)
                 # Seed with the first instant *unconsumed* (cursor 0):
                 # the object engine seeds its heap with peek(), so the
                 # first event re-pushes the same instant — that quirk
                 # is part of the frozen per-seed generation contract.
-                self._gen_node_t[rep, node] = buf[0]
-        #: Per-replication minima of ``_gen_node_t``, so the kernel's
-        #: generation fast path compares one float per replication.
-        self._gen_next = self._gen_node_t.min(axis=1)
-        #: Nodes with messages to (re)activate.
-        self._act = np.zeros((R, N), dtype=np.uint8)
+                st.gen_node_t[rep, node] = st.arr_buf[rep, node, 0]
+        st.gen_next[:] = st.gen_node_t.min(axis=1)
 
-        # -- pending headers / ejection columns --------------------------
-        cap = self.state.capacity
-        #: Per-node source queues as linked lists over message slots
-        #: (resized with the pool): qnext[rep, s] chains slot s to the
-        #: next queued slot of the same node, -1 terminates.
-        self._qnext = np.full((R, cap), -1, dtype=np.int32)
-        self._qhead = np.full((R, N), -1, dtype=np.int32)
-        self._qtail = np.full((R, N), -1, dtype=np.int32)
-        self._qlen = np.zeros((R, N), dtype=np.int32)
-        self._need_slots = np.zeros((R, cap), dtype=np.int32)
-        self._need_n = np.zeros(R, dtype=np.int64)
-        self._need_total = 0
-        # Ejection columns never grow: ejecting messages plus pending
-        # headers are at most R * (C*V + N*slots) (see _ckernel.c).
-        rows = R * (self._C * V + N * self._slots)
-        self._ej_reps = np.zeros(rows, dtype=np.int64)
-        self._ej_slots = np.zeros(rows, dtype=np.int64)
-        self._ej_flats = np.zeros(rows, dtype=np.int64)
-        self._ej_mflats = np.zeros(rows, dtype=np.int64)
-        self._ej_pos = np.full((R, cap), -1, dtype=np.int64)
-        self._ejecting_count = 0
-        self._msg_cap = cap
-        self._busy_vcs = 0
-        self.cycle = 0
-
-        # Kernel scratch: ejection picks and completions (one per row),
-        # per-rep transfer winners and finished injections, free
-        # candidate VCs of one header (adaptive | escape), per-rep
-        # staging of the merge.
-        self._c_ejk = np.empty(rows, dtype=np.int32)
-        self._c_comps = np.empty(rows, dtype=np.int64)
-        self._c_winners = np.empty(R * self._C, dtype=np.int64)
-        self._c_fin = np.empty(R * self._C, dtype=np.int64)
-        self._c_alloc_scr = np.empty(2 * self._deg * V, dtype=np.int32)
-        self._c_tstage = np.zeros(R * 8, dtype=np.int64)
-        #: Scalar in/out block of the kernel: {cycle, busy_vcs,
-        #: ejecting_count, need_total, reason, aux rep, limit, spare}.
-        self._c_rs = np.zeros(8, dtype=np.int64)
         #: ctypes callback handed to the kernel (see _cb_dispatch);
         #: exceptions are stashed and re-raised after the C call
         #: returns.  It reaches the simulator through a weak method, so
         #: the callback never keeps its owner alive.
         self._cb_exc: BaseException | None = None
         self._c_cb = _CB_TYPE(_weak_dispatch(self._cb_dispatch))
-        self._c_cb_ptr = ctypes.c_void_p.from_buffer(self._c_cb).value or 0
+        st.cb = ctypes.c_void_p.from_buffer(self._c_cb).value or 0
         #: Driver event counters surfaced by phase_profile(): returns
         #: from run()'s kernel calls and service callbacks into Python.
         self._n_returns = 0
         self._n_callbacks = 0
-
-        self._last_progress = np.zeros(R, dtype=np.int64)
-        self._progress_marks = np.full(R, -1, dtype=np.int64)
-        # Message/latency bookkeeping: flat arrays the kernel updates.
-        self._in_flight = np.zeros(R, dtype=np.int64)
-        self._measured_in_flight = np.zeros(R, dtype=np.int64)
-        self._completed = np.zeros(R, dtype=np.int64)
-        self._generated = np.zeros(R, dtype=np.int64)
-        self._measured_generated = np.zeros(R, dtype=np.int64)
-        self._injected = np.zeros(R, dtype=np.int64)
-        self.alloc_attempts = np.zeros(R, dtype=np.int64)
-        self.alloc_failures = np.zeros(R, dtype=np.int64)
-
-        # Per-replication measurement windows (ragged horizons allowed).
-        self._horizon_per = [c.horizon for c in configs]
-        self._end_per = [c.horizon + c.drain_cycles for c in configs]
-        self._warm_np = np.array([c.warmup_cycles for c in configs], dtype=np.int64)
-        self._horizon_np = np.array(self._horizon_per, dtype=np.int64)
-        self._end_np = np.array(self._end_per, dtype=np.int64)
-        #: 1 while the replication's result is not yet frozen.
-        self._active_np = np.ones(R, dtype=np.uint8)
-        for c in configs:
-            if c.batches < 1:
-                raise ValueError("batches must be >= 1")
-            if c.horizon <= c.warmup_cycles:
-                raise ValueError("empty measurement window")
-        if self._probe_int is not None:
-            # The batch never cycles past the longest drain horizon, so
-            # a ring sized off it can't overflow (the kernel still
-            # guards on capacity); warmup cycles are probed too — the
-            # warmup-adequacy detector needs the transient.
-            self.state.alloc_probes(max(self._end_per) // self._probe_int + 2)
-        # Streaming latency sums (the array twin of LatencyAccumulator):
-        # one scalar sum per metric plus per-batch sums for the CI, all
-        # accumulated in message-completion order.
-        Bmax = max(c.batches for c in configs)
-        self._w_batches = np.array([c.batches for c in configs], dtype=np.int64)
-        self._w_t0 = np.array(
-            [float(c.warmup_cycles) for c in configs], dtype=np.float64
-        )
-        self._w_width = np.array(
-            [
-                (c.horizon - c.warmup_cycles) / c.batches
-                for c in configs
-            ],
-            dtype=np.float64,
-        )
-        self._Bmax = Bmax
-        self._lat_sum = np.zeros(R, dtype=np.float64)
-        self._net_sum = np.zeros(R, dtype=np.float64)
-        self._srcw_sum = np.zeros(R, dtype=np.float64)
-        self._mcount = np.zeros(R, dtype=np.int64)
-        self._lat_bsum = np.zeros((R, Bmax), dtype=np.float64)
-        self._lat_bcount = np.zeros((R, Bmax), dtype=np.int64)
-        #: Channel-load sample accumulators {samples, sum_v, sum_v2,
-        #: busy channels} per replication — the integer moments behind
-        #: ChannelLoadSampler.
-        self._load_acc = np.zeros((R, 4), dtype=np.int64)
-        self._hb_max = topology.diameter()
-        self._hb_req = np.zeros((R, self._hb_max + 1), dtype=np.int64)
-        self._hb_blk = np.zeros((R, self._hb_max + 1), dtype=np.int64)
-        self._hb_wait = np.zeros((R, self._hb_max + 1), dtype=np.int64)
+        #: Wall time of the profiled run() calls, in nanoseconds.
+        self._total_ns = 0
         self._final: list[dict | None] = [None] * R
-        self._refresh_c_args()
+        self._block = ParamBlock(kernel_fields(), st)
+
+    @property
+    def cycle(self) -> int:
+        """Cycles completed so far."""
+        return self.state.cycle
 
     # ------------------------------------------------------------------
     # Public API
@@ -532,12 +342,12 @@ class ArraySimulator:
         result (the batch advances as one unit, so phase timing is a
         whole-batch property).
         """
-        if self._prof is None and self._probe_int is None:
+        if not self.profile and self._probe_int is None:
             return self._run_to_completion()
         t0 = time.perf_counter_ns()
         results = self._run_to_completion()
-        if self._prof is not None:
-            self._prof[_PROF_TOTAL_SLOT] += time.perf_counter_ns() - t0
+        if self.profile:
+            self._total_ns += time.perf_counter_ns() - t0
             results[0] = dataclasses.replace(
                 results[0], phase_ns=self.phase_profile()
             )
@@ -548,26 +358,26 @@ class ArraySimulator:
         return results
 
     def _run_to_completion(self) -> list[SimulationResult]:
-        R = self._R
+        st = self.state
         final = self._final
-        horizons = self._horizon_per
-        ends = self._end_per
+        horizons = [c.horizon for c in self.configs]
+        ends = [c.horizon + c.drain_cycles for c in self.configs]
         remaining = sum(1 for f in final if f is None)
         while remaining:
             reason = self._enter(-1)
             self._n_returns += 1
             if reason == _RUN_STOP:
-                cyc = self.cycle
-                for rep in range(R):
+                cyc = st.cycle
+                for rep, f in enumerate(final):
                     if (
-                        final[rep] is None
+                        f is None
                         and cyc >= horizons[rep]
-                        and (cyc >= ends[rep] or self._measured_in_flight[rep] == 0)
+                        and (cyc >= ends[rep] or st.measured_in_flight[rep] == 0)
                     ):
                         final[rep] = self._snapshot(rep)
                         self._stop_rep(rep)
                         remaining -= 1
-        return [self._result(rep) for rep in range(R)]
+        return [self._result(rep) for rep in range(st.replications)]
 
     def step(self) -> None:
         """Advance every replication by one cycle.
@@ -577,7 +387,7 @@ class ArraySimulator:
         applies no stop conditions: replications keep generating until
         :meth:`run` stops them.
         """
-        limit = self.cycle + 1
+        limit = self.state.cycle + 1
         while self._enter(limit) != _RUN_LIMIT:
             pass
 
@@ -596,12 +406,14 @@ class ArraySimulator:
         stop or message-pool growth) and ``callbacks`` into Python.
         """
         p = self.state.phase_ns
-        phases = {name: int(p[i]) for i, name in enumerate(_PROF_PHASES)}
+        phases = {
+            name: 0 if p is None else int(p[i]) for i, name in enumerate(_PROF_PHASES)
+        }
         accounted = sum(phases.values())
-        total = max(int(p[_PROF_TOTAL_SLOT]), accounted)
+        total = max(self._total_ns, accounted)
         phases["other"] = total - accounted
         phases["total"] = total
-        phases["cycles"] = int(self.cycle)
+        phases["cycles"] = self.state.cycle
         phases["returns"] = self._n_returns
         phases["callbacks"] = self._n_callbacks
         return phases
@@ -624,7 +436,7 @@ class ArraySimulator:
             st.probe_data[:n],
             st.probe_cycles[:n],
             interval=self._probe_int,
-            num_vcs=self._V,
+            num_vcs=st.num_vcs,
         )
 
     # ------------------------------------------------------------------
@@ -636,65 +448,60 @@ class ArraySimulator:
 
         ``limit < 0`` runs until a replication reaches its stop
         condition, otherwise to cycle ``limit`` with no stop conditions.
-        Scalar state crosses through the run-state block.  An exhausted
+        The run state crosses through the parameter block.  An exhausted
         message pool is grown here and the caller re-enters at the same
-        generation event, without Python running any of the cycle.
-        Watchdog, callback and invariant returns raise.
+        generation event, without Python running any of the cycle; a
+        pool grown since the last call (here or by the caller) is
+        re-filled into the block first.  Watchdog, callback and
+        invariant returns raise.
         """
-        if self._msg_cap != self.state.capacity:  # grown by the caller
-            self._sync_msg_cap()
-        rs = self._c_rs
-        rs[0] = self.cycle
-        rs[1] = self._busy_vcs
-        rs[2] = self._ejecting_count
-        rs[3] = self._need_total
-        rs[6] = limit
-        self._kernel(self._c_params_ptr)
-        reason = int(rs[4])
-        self.cycle = int(rs[0])
-        self._busy_vcs = int(rs[1])
-        self._ejecting_count = int(rs[2])
-        self._need_total = int(rs[3])
+        st = self.state
+        if self._block.struct.capacity != st.capacity:
+            self._block.fill()
+        reason = self._block.call(self._kernel, limit)
         if reason == _RUN_CBERR:
             self._raise_cb_exc()
         if reason == _RUN_ERR:
             raise SimulationError(
                 f"compiled cycle kernel invariant failure at cycle "
-                f"{self.cycle} ({_INVARIANT_CAUSES})"
+                f"{st.cycle} ({_INVARIANT_CAUSES})"
             )
         if reason == _RUN_WATCHDOG:
-            rep = int(rs[5])
+            rep = st.stalled_rep
             raise SimulationError(
-                f"no progress for {self._c_grace} cycles at cycle {self.cycle} "
-                f"with {self._in_flight[rep]} messages in flight "
+                f"no progress for {st.grace} cycles at cycle {st.cycle} "
+                f"with {st.in_flight[rep]} messages in flight "
                 f"(replication {rep}, seed {self.seeds[rep]}) — "
                 "routing deadlock?"
             )
         if reason == _RUN_GROW:
-            self.state.grow()
+            st.grow()
         return reason
 
     def _stop_rep(self, rep: int) -> None:
         """Freeze one replication: no further traffic, samples or checks."""
-        self._gen_next[rep] = math.inf
-        self._active_np[rep] = 0
+        self.state.gen_next[rep] = math.inf
+        self.state.active[rep] = 0
 
     def _refill_arr(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn arrival block, cursor reset."""
-        self._streams.select(rep * self._N + node)
-        buf = self._sources[rep][node].draw_block(_GEN_BLOCK)
-        self._arr_buf[rep, node, : len(buf)] = buf
-        self._arr_len[rep, node] = len(buf)
-        self._arr_pos[rep, node] = 0
+        st = self.state
+        self._streams.select(rep * st.num_nodes + node)
+        buf = self._sources[rep][node].draw_block(st.gen_block)
+        st.arr_buf[rep, node, : len(buf)] = buf
+        st.arr_len[rep, node] = len(buf)
+        st.arr_pos[rep, node] = 0
 
     def _refill_dst(self, rep: int, node: int) -> None:
         """Refill one node's pre-drawn destination block, cursor reset."""
+        st = self.state
+        stream = (st.replications + rep) * st.num_nodes + node
         buf = self._spatial[rep].destinations_block(
-            node, _GEN_BLOCK, self._streams.select((self._R + rep) * self._N + node)
+            node, st.gen_block, self._streams.select(stream)
         )
-        self._dst_buf[rep, node, : len(buf)] = buf
-        self._dst_len[rep, node] = len(buf)
-        self._dst_pos[rep, node] = 0
+        st.dst_buf[rep, node, : len(buf)] = buf
+        st.dst_len[rep, node] = len(buf)
+        st.dst_pos[rep, node] = 0
 
     def _cb_dispatch(self, kind: int, a: int, b: int) -> int:
         """The C kernel's service callback (ctypes re-acquires the GIL).
@@ -702,10 +509,9 @@ class ArraySimulator:
         kind 0/1 refill one node's arrival/destination block, kind 2
         fills route row (cur a, dst b) and returns its distance, kind 4
         refills the uniform buffer for ``need_total`` = a and re-bases
-        the loop's gate (patching the live parameter block when it
-        widens the buffer).  Exceptions can't cross the C frame: the
-        first is stashed for the driver to re-raise
-        (:meth:`_raise_cb_exc`) and signalled to C as -1.
+        the loop's gate (:meth:`_ensure_uniforms`).  Exceptions can't
+        cross the C frame: the first is stashed for the driver to
+        re-raise (:meth:`_raise_cb_exc`) and signalled to C as -1.
         """
         self._n_callbacks += 1
         try:
@@ -717,8 +523,7 @@ class ArraySimulator:
                 return 0
             if kind == 2:
                 return self._fill_route(a, b)
-            self._need_total = a
-            self._ensure_uniforms()
+            self._ensure_uniforms(a)
             return 0
         except BaseException as exc:  # noqa: BLE001 — crossing a C frame
             if self._cb_exc is None:
@@ -732,260 +537,51 @@ class ArraySimulator:
             raise SimulationError("kernel callback failed without an exception")
         raise exc
 
-    # ------------------------------------------------------------------
-    # Routing tables
-    # ------------------------------------------------------------------
-
-    def _build_class_table(self) -> None:
-        """Tabulate ``algorithm.eligible`` over its whole domain.
-
-        One int32 entry ``{a_lo, a_n, e_lo, e_n}`` (contiguous adaptive
-        and escape VC-index ranges) per (remaining distance 1..diameter,
-        colour of the current node, escape floor 0..num_escape-1), at
-        ``((d - 1) * 2 + colour) * num_escape + floor``.  States that
-        ``eligible()`` rejects are stored as -1 rows: the floor invariant
-        makes them unreachable, so meeting one is an invariant failure.
-        Exact because ``eligible()`` reads nothing else (its contract).
-        """
-        cfg = self.vc_config
-        diameter = self.topology.diameter()
-        num_escape = cfg.num_escape
-        table = np.full((diameter, 2, num_escape, 4), -1, dtype=np.int32)
-        state = self._route_state
-        state.hops_taken = state.negative_hops = 0
-        for d in range(1, diameter + 1):
-            for colour in (0, 1):
-                for floor in range(num_escape):
-                    state.escape_floor = floor
-                    try:
-                        es = self.algorithm.eligible(cfg, d, colour == 1, state)
-                    except ConfigurationError:
-                        continue
-                    for r in (es.adaptive, es.escape):
-                        if len(r) > 1 and r.step != 1:
-                            raise ConfigurationError(
-                                f"{self.algorithm.name}: the array backend "
-                                f"needs contiguous eligible ranges, got {r} "
-                                "(use engine='object')"
-                            )
-                    table[d - 1, colour, floor] = (
-                        es.adaptive.start,
-                        len(es.adaptive),
-                        es.escape.start,
-                        len(es.escape),
-                    )
-        self._cls = table.reshape(-1, 4)
-        self._cls_d = diameter
-
     def _fill_route(self, cur: int, dst: int) -> int:
         """Resolve route row (cur, dst) — distance and ports — and
         return the distance (the kind-2 callback lands here)."""
+        st = self.state
         ports = self.algorithm.ports(self.topology, cur, dst)
         dist = self.topology.distance(cur, dst)
-        off = (cur * self.state.num_nodes + dst) * self._route_w
-        row = self._route
+        off = (cur * st.num_nodes + dst) * st.route_w
+        row = st.route
         row[off + 1] = len(ports)
         row[off + 2 : off + 2 + len(ports)] = ports
         row[off] = dist
         return dist
 
-    # ------------------------------------------------------------------
-    # Buffers the kernel cannot grow itself
-    # ------------------------------------------------------------------
-
-    def _ensure_uniforms(self) -> None:
+    def _ensure_uniforms(self, need_total: int) -> None:
         """Refill the pre-drawn uniforms for this cycle's allocation.
 
         The kind-4 callback: the kernel calls it when its amortized gate
-        ``_c_ugate`` fails and some row is actually short.  Worst case
-        per replication: n-1 shuffle draws plus one draw per header =
-        2n-1.  A short row is refilled wholesale (remaining variates are
+        fails and some row is actually short.  Worst case per
+        replication: n-1 shuffle draws plus one draw per header = 2n-1.
+        A short row is refilled wholesale (remaining variates are
         discarded), which keeps the stream deterministic.  When the need
         outgrows the buffer itself, it is widened and *every* row is
-        refilled, so no row reads past its old capacity; the new buffer
-        is patched into the live parameter block.  Finally the gate is
-        re-based: every row has at least ``headroom`` variates left, and
-        this cycle spends at most ``2 * need_total`` of them.
+        refilled, so no row reads past its old capacity.  Finally the
+        gate is re-based: every row has at least ``headroom`` variates
+        left, and this cycle spends at most ``2 * need_total`` of them.
+        The changed fields go into the live parameter block, from which
+        the kernel re-reads them.
         """
-        worst = 2 * self._need_n
-        short = (self._buf_cap - self._alloc_pos) < worst
+        st = self.state
+        worst = 2 * st.need_n
+        short = (st.buf_cap - st.alloc_pos) < worst
         if short.any():
             wmax = int(worst.max())
-            if wmax > self._buf_cap:
-                self._buf_cap = 1 << (wmax - 1).bit_length()
-                self._alloc_buf = np.empty((self._R, self._buf_cap), dtype=np.float64)
-                refill = range(self._R)
-                self._c_params[_UNIFORM_SLOT] = self._alloc_buf.ctypes.data
-                self._c_params[_UNIFORM_SLOT + 1] = self._buf_cap
+            if wmax > st.buf_cap:
+                st.buf_cap = 1 << (wmax - 1).bit_length()
+                st.alloc_buf = np.empty((st.replications, st.buf_cap))
+                refill = range(st.replications)
             else:
                 refill = np.nonzero(short)[0].tolist()
             for rep in refill:
-                self._alloc_buf[rep] = self._alloc_gen[rep].random(self._buf_cap)
-                self._alloc_pos[rep] = 0
-        self._c_ugate[0] = self._buf_cap - int(self._alloc_pos.max())
-        self._c_ugate[1] = 2 * self._need_total
-
-    def _sync_msg_cap(self) -> None:
-        """Re-size the capacity-sized side arrays after the pool grew,
-        then rebuild the kernel's parameter block (every message array
-        moved)."""
-        old = self._msg_cap
-        new = self.state.capacity
-        self._msg_cap = new
-        R = self._R
-        ns = np.zeros((R, new), dtype=np.int32)
-        ns[:, :old] = self._need_slots
-        self._need_slots = ns
-        qn = np.full((R, new), -1, dtype=np.int32)
-        qn[:, :old] = self._qnext
-        self._qnext = qn
-        ep = np.full((R, new), -1, dtype=np.int64)
-        ep[:, :old] = self._ej_pos
-        self._ej_pos = ep
-        n = self._ejecting_count
-        self._ej_mflats[:n] = self._ej_reps[:n] * new + self._ej_slots[:n]
-        self._refresh_c_args()
-
-    def _refresh_c_args(self) -> None:
-        """(Re)build the C kernel's parameter block.
-
-        Called at construction and whenever the message pool grew (every
-        message array moved).  Uniform-buffer growth patches its slots
-        in place instead — it happens inside a callback; the route table
-        never moves, its rows fill in place.  Slot layout documented in
-        _ckernel.c — the indices here must match it exactly.
-        """
-        st = self.state
-        ej_rate = -1 if self._ej_rate is None else int(self._ej_rate)
-        grace = self.config.watchdog_grace
-        if grace is None:
-            # The object engine's module default, resolved late so a
-            # monkeypatched _WATCHDOG_GRACE governs both backends.
-            from repro.simulation import engine as engine_mod
-
-            grace = engine_mod._WATCHDOG_GRACE
-        self._c_grace = grace
-        params = np.array(
-            [
-                st.vc_bd.ctypes.data,  # 0
-                st.vc_avail.ctypes.data,  # 1
-                st.vc_owner.ctypes.data,  # 2
-                st.vc_upstream.ctypes.data,  # 3
-                st.vc_downstream.ctypes.data,  # 4
-                st.ch_rr.ctypes.data,  # 5
-                0 if self._lut is None else self._lut.ctypes.data,  # 6
-                self._R,  # 7
-                self._C,  # 8
-                self._V,  # 9
-                self._M,  # 10
-                self._depth,  # 11
-                ej_rate,  # 12
-                st.transfers.ctypes.data,  # 13
-                st.msg_vcs_held.ctypes.data,  # 14
-                st.msg_src.ctypes.data,  # 15
-                st.active_injections.ctypes.data,  # 16
-                st.msg_ejected.ctypes.data,  # 17
-                st.capacity,  # 18
-                st.num_nodes,  # 19
-                self._ej_reps.ctypes.data,  # 20
-                self._ej_slots.ctypes.data,  # 21
-                self._ej_flats.ctypes.data,  # 22
-                self._ej_mflats.ctypes.data,  # 23
-                self._ej_pos.ctypes.data,  # 24
-                self._c_ejk.ctypes.data,  # 25
-                self._c_winners.ctypes.data,  # 26
-                self._c_fin.ctypes.data,  # 27
-                self._c_comps.ctypes.data,  # 28
-                self._c_alloc_scr.ctypes.data,  # 29
-                self._load_acc.ctypes.data,  # 30
-                st.ch_busy.ctypes.data,  # 31
-                self._policy_code,  # 32
-                self.vc_config.num_adaptive,  # 33
-                self._deg,  # 34
-                self._need_slots.ctypes.data,  # 35
-                self._need_n.ctypes.data,  # 36
-                st.p_dst.ctypes.data,  # 37
-                st.p_header.ctypes.data,  # 38
-                st.p_dist.ctypes.data,  # 39
-                st.p_floor.ctypes.data,  # 40
-                st.p_hops.ctypes.data,  # 41
-                st.p_first_attempt.ctypes.data,  # 42
-                st.p_head_vc.ctypes.data,  # 43
-                self._route.ctypes.data,  # 44
-                self._route_w,  # 45
-                self._cls.ctypes.data,  # 46
-                self._cls_d,  # 47
-                self.vc_config.num_escape,  # 48
-                self._alloc_buf.ctypes.data,  # 49
-                self._buf_cap,  # 50
-                self._alloc_pos.ctypes.data,  # 51
-                self._neighbors_np.ctypes.data,  # 52
-                self._color_np.ctypes.data,  # 53
-                st.msg_measured.ctypes.data,  # 54
-                st.msg_t_inject.ctypes.data,  # 55
-                self.alloc_attempts.ctypes.data,  # 56
-                self.alloc_failures.ctypes.data,  # 57
-                self._injected.ctypes.data,  # 58
-                self._hb_req.ctypes.data,  # 59
-                self._hb_blk.ctypes.data,  # 60
-                self._hb_wait.ctypes.data,  # 61
-                self._hb_max,  # 62
-                st.msg_t_gen.ctypes.data,  # 63
-                self._in_flight.ctypes.data,  # 64
-                self._measured_in_flight.ctypes.data,  # 65
-                self._completed.ctypes.data,  # 66
-                st.free_stack.ctypes.data,  # 67
-                st.free_n.ctypes.data,  # 68
-                self._lat_sum.ctypes.data,  # 69
-                self._net_sum.ctypes.data,  # 70
-                self._srcw_sum.ctypes.data,  # 71
-                self._mcount.ctypes.data,  # 72
-                self._lat_bsum.ctypes.data,  # 73
-                self._lat_bcount.ctypes.data,  # 74
-                self._w_t0.ctypes.data,  # 75
-                self._w_width.ctypes.data,  # 76
-                self._w_batches.ctypes.data,  # 77
-                self._Bmax,  # 78
-                self._c_tstage.ctypes.data,  # 79
-                self._gen_node_t.ctypes.data,  # 80
-                self._gen_next.ctypes.data,  # 81
-                self._arr_buf.ctypes.data,  # 82
-                self._arr_pos.ctypes.data,  # 83
-                self._arr_len.ctypes.data,  # 84
-                self._dst_buf.ctypes.data,  # 85
-                self._dst_pos.ctypes.data,  # 86
-                self._dst_len.ctypes.data,  # 87
-                _GEN_BLOCK,  # 88
-                self._qnext.ctypes.data,  # 89
-                self._qhead.ctypes.data,  # 90
-                self._qtail.ctypes.data,  # 91
-                self._qlen.ctypes.data,  # 92
-                self._act.ctypes.data,  # 93
-                self._c_cb_ptr,  # 94
-                self._generated.ctypes.data,  # 95
-                self._measured_generated.ctypes.data,  # 96
-                self._warm_np.ctypes.data,  # 97
-                self._horizon_np.ctypes.data,  # 98
-                self._end_np.ctypes.data,  # 99
-                self._active_np.ctypes.data,  # 100
-                self._slots,  # 101
-                grace,  # 102
-                self._progress_marks.ctypes.data,  # 103
-                self._last_progress.ctypes.data,  # 104
-                self.config.sample_interval,  # 105
-                self._c_ugate.ctypes.data,  # 106
-                self._c_rs.ctypes.data,  # 107
-                self.state.phase_ns.ctypes.data if self._prof is not None else 0,  # 108
-                0 if st.probe_data is None else st.probe_data.ctypes.data,  # 109
-                0 if st.probe_cycles is None else st.probe_cycles.ctypes.data,  # 110
-                0 if st.probe_state is None else st.probe_state.ctypes.data,  # 111
-                self._probe_int or 0,  # 112
-                st.probe_capacity,  # 113
-            ],
-            dtype=np.int64,
-        )
-        self._c_params = params
-        self._c_params_ptr = params.ctypes.data
+                st.alloc_buf[rep] = self._alloc_gen[rep].random(st.buf_cap)
+                st.alloc_pos[rep] = 0
+        st.ugate_headroom = st.buf_cap - int(st.alloc_pos.max())
+        st.ugate_spend = 2 * need_total
+        self._block.fill("alloc_buf", "buf_cap", "ugate_headroom", "ugate_spend")
 
     # ------------------------------------------------------------------
     # Results
@@ -999,29 +595,30 @@ class ArraySimulator:
         horizons keep the simulation — but not this replication's
         result — moving.
         """
-        cnt = int(self._mcount[rep])
-        lat_mean = float(self._lat_sum[rep]) / cnt if cnt else math.nan
-        net_mean = float(self._net_sum[rep]) / cnt if cnt else math.nan
-        srcw_mean = float(self._srcw_sum[rep]) / cnt if cnt else math.nan
+        st = self.state
+        cnt = int(st.mcount[rep])
+        lat_mean = float(st.lat_sum[rep]) / cnt if cnt else math.nan
+        net_mean = float(st.net_sum[rep]) / cnt if cnt else math.nan
+        srcw_mean = float(st.srcw_sum[rep]) / cnt if cnt else math.nan
         # 95% CI half-width from batch means — the same estimator as
         # LatencyAccumulator.ci_halfwidth.
-        bs = self._lat_bsum[rep]
-        bc = self._lat_bcount[rep]
+        bs = st.lat_bsum[rep]
+        bc = st.lat_bcount[rep]
         lat_ci = t_halfwidth([
             float(bs[i]) / int(bc[i])
-            for i in range(int(self._w_batches[rep]))
+            for i in range(int(st.w_batches[rep]))
             if bc[i] > 0
         ])
-        sum_v, sum_v2 = self._load_acc[rep, 1:3].tolist()
+        sum_v, sum_v2 = st.load_acc[rep, 1:3].tolist()
         return {
-            "cycles_run": self.cycle,
-            "transfers": int(self.state.transfers[rep]),
-            "backlog": int(self._qlen[rep].sum()),
-            "generated": int(self._generated[rep]),
-            "measured_generated": int(self._measured_generated[rep]),
-            "incomplete": int(self._measured_in_flight[rep]),
-            "completed": int(self._completed[rep]),
-            "injected_in_window": int(self._injected[rep]),
+            "cycles_run": st.cycle,
+            "transfers": int(st.transfers[rep]),
+            "backlog": int(st.qlen[rep].sum()),
+            "generated": int(st.generated[rep]),
+            "measured_generated": int(st.measured_generated[rep]),
+            "incomplete": int(st.measured_in_flight[rep]),
+            "completed": int(st.completed[rep]),
+            "injected_in_window": int(st.injected[rep]),
             "lat_mean": lat_mean,
             "lat_ci": lat_ci,
             "lat_count": cnt,
@@ -1029,9 +626,9 @@ class ArraySimulator:
             "srcw_mean": srcw_mean,
             # V̄ = E[v²]/E[v] (Dally's eq. 19), as ChannelLoadSampler.
             "multiplexing": sum_v2 / sum_v if sum_v else 1.0,
-            "hb_req": self._hb_req[rep].copy(),
-            "hb_blk": self._hb_blk[rep].copy(),
-            "hb_wait": self._hb_wait[rep].copy(),
+            "hb_req": st.hb_req[rep].copy(),
+            "hb_blk": st.hb_blk[rep].copy(),
+            "hb_wait": st.hb_wait[rep].copy(),
         }
 
     def _result(self, rep: int) -> SimulationResult:
@@ -1048,8 +645,8 @@ class ArraySimulator:
                 saturated = True
             if snap["incomplete"] > 0.05 * max(snap["measured_generated"], 1):
                 saturated = True
-        total_capacity = self._C * max(snap["cycles_run"], 1)
-        hb = HopBlockingStats(self._hb_max)
+        total_capacity = self.state.num_channels * max(snap["cycles_run"], 1)
+        hb = HopBlockingStats(self.state.hb_max)
         hb._requests = [int(x) for x in snap["hb_req"]]
         hb._blocked = [int(x) for x in snap["hb_blk"]]
         hb._wait_total = [float(x) for x in snap["hb_wait"]]

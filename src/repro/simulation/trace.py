@@ -13,112 +13,54 @@ channel-load accumulators) into one SHA-256, and :func:`run_digests`
 collects the digest after every cycle, so an invariance test can
 pinpoint the exact first cycle where two drives disagree.
 
-Only deterministically-ordered state is hashed: the pending list is read
-up to its live length (the compaction leftovers beyond ``need_n`` are
-scratch), ejection columns up to the live count, and each free stack up
-to its depth.
+The hashed set follows the kernel's declared interface
+(:func:`~repro.simulation.ckernel.kernel_fields`), in declaration order:
+every state array (kind ``"arr"``) and every run-state scalar of the
+:class:`~repro.simulation.state.SimState`.  Scratch arrays are dead
+between cycles, and the optional arrays are observation (profiling,
+probes) or derived from V (the arbitration LUT), so neither is hashed —
+a probed or profiled run digests like a plain one.  Arrays with a live
+length are read up to it only: the pending list up to ``need_n`` (the
+compaction leftovers beyond are scratch), each free stack up to its
+depth, and the ejection columns up to ``ej_n``.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
+from repro.simulation.ckernel import kernel_fields
 from repro.simulation.kernels import ArraySimulator
 
 __all__ = ["state_digest", "run_digests"]
 
-#: SimState arrays hashed in full (dense, no scratch regions).
-_STATE_FIELDS = (
-    "vc_bd",
-    "vc_avail",
-    "vc_owner",
-    "vc_upstream",
-    "vc_downstream",
-    "ch_rr",
-    "ch_busy",
-    "transfers",
-    "active_injections",
-    "msg_t_gen",
-    "msg_t_inject",
-    "msg_measured",
-    "msg_src",
-    "msg_ejected",
-    "msg_vcs_held",
-    "p_dst",
-    "p_header",
-    "p_dist",
-    "p_floor",
-    "p_hops",
-    "p_first_attempt",
-    "p_head_vc",
-)
+#: Per-replication rows hashed up to a per-row count (field -> count).
+_ROW_PREFIX = {"need_slots": "need_n", "free_stack": "free_n"}
 
-#: Simulator-side arrays hashed in full, generation state (pre-drawn
-#: blocks, cursors, per-node next arrivals, source-queue links,
-#: activation bitmap) included.
-_SIM_FIELDS = (
-    "_ej_pos",
-    "_alloc_pos",
-    "_gen_node_t",
-    "_gen_next",
-    "_arr_buf",
-    "_arr_pos",
-    "_arr_len",
-    "_dst_buf",
-    "_dst_pos",
-    "_dst_len",
-    "_qnext",
-    "_qhead",
-    "_qtail",
-    "_qlen",
-    "_act",
-    "_generated",
-    "_measured_generated",
-    "_in_flight",
-    "_measured_in_flight",
-    "_completed",
-    "_injected",
-    "alloc_attempts",
-    "alloc_failures",
-    "_lat_sum",
-    "_net_sum",
-    "_srcw_sum",
-    "_mcount",
-    "_lat_bsum",
-    "_lat_bcount",
-    "_hb_req",
-    "_hb_blk",
-    "_hb_wait",
-    "_load_acc",
-)
+#: Ejection columns, hashed up to the live column count ``ej_n``.
+_EJ_COLUMNS = ("ej_reps", "ej_slots", "ej_flats", "ej_mflats")
 
 
 def state_digest(sim: ArraySimulator) -> str:
     """SHA-256 over the simulator's complete deterministic state."""
     st = sim.state
     h = hashlib.sha256()
-    for name in _STATE_FIELDS:
-        h.update(np.ascontiguousarray(getattr(st, name)).tobytes())
-    for name in _SIM_FIELDS:
-        h.update(np.ascontiguousarray(getattr(sim, name)).tobytes())
-    for rep in range(sim._R):
-        h.update(sim._need_slots[rep, : int(sim._need_n[rep])].tobytes())
-        h.update(st.free_stack[rep, : int(st.free_n[rep])].tobytes())
-    n = sim._ejecting_count
-    for name in ("_ej_reps", "_ej_slots", "_ej_flats", "_ej_mflats"):
-        h.update(getattr(sim, name)[:n].tobytes())
-    h.update(
-        repr(
-            (
-                sim.cycle,
-                sim._busy_vcs,
-                sim._need_total,
-                sim._ejecting_count,
-            )
-        ).encode()
-    )
+    run = []
+    for field in kernel_fields():
+        if field.kind == "run":
+            run.append(getattr(st, field.name))
+        if field.kind != "arr":
+            continue
+        arr = getattr(st, field.name)
+        if field.name in _ROW_PREFIX:
+            counts = getattr(st, _ROW_PREFIX[field.name])
+            for rep in range(st.replications):
+                h.update(arr[rep, : int(counts[rep])].tobytes())
+        elif field.name in _EJ_COLUMNS:
+            h.update(arr[: st.ej_n].tobytes())
+        else:
+            h.update(arr.tobytes())
+    h.update(repr(tuple(run)).encode())
     return h.hexdigest()
 
 

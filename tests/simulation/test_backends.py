@@ -117,9 +117,9 @@ class TestArrayBackendBehaviour:
         # the ownership bookkeeping is consistent; unmeasured drain-window
         # messages may legitimately still be in flight
         owned = int((sim.state.vc_owner >= 0).sum())
-        assert sim._busy_vcs == owned
+        assert sim.state.busy_vcs == owned
         assert int(sim.state.ch_busy.sum()) == owned
-        if all(f == 0 for f in sim._in_flight):
+        if all(f == 0 for f in sim.state.in_flight):
             assert owned == 0
 
     def test_determinism(self, star4):
@@ -246,14 +246,14 @@ class TestWideVcFallback:
     """
 
     def test_fallback_bit_identical_to_lut_path(self, star4, monkeypatch):
-        import repro.simulation.kernels as kernels
+        import repro.simulation.state as state_mod
 
         cfg = small_config(generation_rate=0.01)
         lut = ArraySimulator(star4, EnhancedNbc(), cfg, seeds=(1, 2))
-        assert lut._lut is not None
-        monkeypatch.setattr(kernels, "_MAX_LUT_VCS", 2)
+        assert lut.state.lut is not None
+        monkeypatch.setattr(state_mod, "_MAX_LUT_VCS", 2)
         wide = ArraySimulator(star4, EnhancedNbc(), cfg, seeds=(1, 2))
-        assert wide._lut is None
+        assert wide.state.lut is None
         ref = [result_key(r) for r in lut.run()]
         assert [result_key(r) for r in wide.run()] == ref
 

@@ -59,6 +59,25 @@ class TestRealBuild:
         assert fn.__name__ == "starnet_run"
 
 
+@pytest.mark.skipif(ckernel._compiler() is None, reason="no C compiler")
+class TestBrokenSource:
+    def test_compile_failure_is_not_reported_as_missing_compiler(
+        self, fresh_cache, monkeypatch, tmp_path
+    ):
+        """A compiler that rejects the source is a compile failure, and
+        the reason carries the compiler's own error lines."""
+        broken = tmp_path / "_ckernel.c"
+        broken.write_text(
+            ckernel._SOURCE.read_text() + "\nint starnet_broken(void) { return }\n"
+        )
+        monkeypatch.setattr(ckernel, "_SOURCE", broken)
+        assert ckernel.load_kernel() is None
+        reason = ckernel.kernel_error()
+        assert "no working C compiler" not in reason
+        assert "compiling _ckernel.c" in reason and "failed" in reason
+        assert "error" in reason
+
+
 class TestUnwritableCacheDir:
     """A cache directory that cannot be written (a read-only home) sends
     the build to a private per-user directory under the temp dir."""

@@ -172,15 +172,14 @@ class TestUniformBufferWidening:
             for _ in range(2)
         ]
         for sim in sims:
-            cap = sim._buf_cap
-            sim._need_n[:] = (cap, 0)
-            sim._need_total = cap
-            sim._ensure_uniforms()
-            assert sim._buf_cap == 2 * cap
-        buf = sims[0]._alloc_buf
-        assert np.array_equal(buf, sims[1]._alloc_buf)
+            cap = sim.state.buf_cap
+            sim.state.need_n[:] = (cap, 0)
+            sim._ensure_uniforms(cap)
+            assert sim.state.buf_cap == 2 * cap
+        buf = sims[0].state.alloc_buf
+        assert np.array_equal(buf, sims[1].state.alloc_buf)
         for rep, seed in enumerate(seeds):
-            pos = int(sims[0]._alloc_pos[rep])
+            pos = int(sims[0].state.alloc_pos[rep])
             tail = buf[rep, pos:]
             assert tail.size and np.all((tail >= 0.0) & (tail < 1.0))
             stream = RngStreams(seed).allocator()

@@ -55,7 +55,7 @@ def test_class_table_matches_eligible(name, topo):
     sim = ArraySimulator(topology, algorithm, small_config())
     cfg = sim.vc_config
     diameter = topology.diameter()
-    table = sim._cls.reshape(diameter, 2, cfg.num_escape, 4)
+    table = sim.state.cls.reshape(diameter, 2, cfg.num_escape, 4)
     invalid = 0
     for d in range(1, diameter + 1):
         for colour in (0, 1):
@@ -92,13 +92,13 @@ def test_route_rows_match_topology_and_ports(star4, path):
     else:
         sim.run()
     N = star4.num_nodes
-    rows = sim._route.reshape(N, N, sim._route_w)
+    rows = sim.state.route.reshape(N, N, sim.state.route_w)
     filled = 0
     for cur in range(N):
         for dst in range(N):
             row = rows[cur, dst].tolist()
             if row[0] < 0:  # untouched: still exactly as allocated
-                assert row == [-1] * sim._route_w
+                assert row == [-1] * sim.state.route_w
                 continue
             filled += 1
             ports = algorithm.ports(star4, cur, dst)
@@ -127,7 +127,7 @@ def test_ineligible_state_is_an_invariant_failure(star4, path):
 
     algorithm.eligible = reject
     sim = ArraySimulator(star4, algorithm, small_config())
-    assert np.all(sim._cls == -1)
+    assert np.all(sim.state.cls == -1)
     with pytest.raises(SimulationError, match="invariant failure"):
         if path == "stepped":
             while True:

@@ -139,11 +139,11 @@ class TestSpatialBlockParity:
 class TestBlockSizeInvariance:
     def test_results_independent_of_gen_block_size(self, star4, monkeypatch):
         """Shrinking the pre-draw block must not change any result."""
-        import repro.simulation.kernels as kernels_mod
+        import repro.simulation.state as state_mod
 
         cfg = small_config(seed=11, workload="uniform+onoff(duty=0.5,burst=4)")
         baseline = ArraySimulator(star4, EnhancedNbc(), cfg).run()[0]
-        monkeypatch.setattr(kernels_mod, "_GEN_BLOCK", 3)
+        monkeypatch.setattr(state_mod, "_GEN_BLOCK", 3)
         small_blocks = ArraySimulator(star4, EnhancedNbc(), cfg).run()[0]
         assert result_key(small_blocks) == result_key(baseline)
 
