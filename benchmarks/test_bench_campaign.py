@@ -78,12 +78,12 @@ def test_campaign_parallel_speedup(benchmark, once):
 
 
 def _sim_ladder_units():
-    """A 10-rate S4 array-engine ladder, 4 seeds per rung (sim_batch)."""
+    """A 10-rate S4 array-engine ladder, 4 pooled seeds per rung."""
     model = StarLatencyModel(4, 32, 5)
     sat = model.saturation_rate()
     rates = tuple(round((0.1 + 0.05 * i) * sat, 9) for i in range(10))
     grid = GridSpec(
-        kind="sim_batch",
+        kind="sim",
         axes=(("generation_rate", rates),),
         pinned=(
             ("order", 4),

@@ -116,7 +116,7 @@ def test_bench_array_batch_16rep_s4(benchmark, once):
     pooled = summarize_batch(results)
     pooled_obj = summarize_batch(obj_results)
     # the backends must tell the same story about the operating point
-    assert not pooled["any_saturated"] and not pooled_obj["any_saturated"]
+    assert not pooled["saturated"] and not pooled_obj["saturated"]
     assert abs(pooled["mean_latency"] - pooled_obj["mean_latency"]) <= 3 * (
         pooled["latency_ci"] + pooled_obj["latency_ci"]
     )

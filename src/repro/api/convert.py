@@ -2,7 +2,7 @@
 
 :func:`row_from_unit` maps one campaign work unit and its result —
 whether a rich object (``ModelResult``, ``SimulationResult``), a pooled
-``sim_batch`` summary dict, or the JSON payload a resumed store handed
+replication summary dict, or the JSON payload a resumed store handed
 back — onto a :class:`~repro.api.results.ResultRow`.  The row's ``spec``
 fingerprint is the unit's campaign content hash, so rows remain joinable
 against any campaign JSONL store.
@@ -30,7 +30,6 @@ _KIND_PROVENANCE = {
     "vc_split_point": "model",
     "scale_point": "model",
     "sim": "sim",
-    "sim_batch": "sim",
     "bound": "bound",
 }
 
@@ -224,12 +223,8 @@ def row_from_unit(unit: WorkUnit, result: Any, meta: Mapping[str, Any] | None = 
             ci = _nan_if_none(data.pop("latency_ci", None))
         lo = latency - ci
         hi = latency + ci
-        if unit.kind == "sim_batch":
-            saturated = bool(data.pop("any_saturated", False))
-            replications = int(data.pop("replications", params.get("replications", 8)))
-        else:
-            saturated = bool(data.pop("saturated", False))
-            replications = 1
+        saturated = bool(data.pop("saturated", False))
+        replications = int(data.pop("replications", 1))
         engine = params.get("engine", defaults["engine"])
         algorithm = params.get("algorithm", defaults["algorithm"])
         seed = int(params.get("seed", defaults["seed"]))

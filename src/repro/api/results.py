@@ -2,7 +2,7 @@
 
 Before this module the repo's entry points returned an incompatible zoo:
 ``ModelResult`` (analytical points), ``SimulationResult`` (one run),
-pooled ``sim_batch`` dicts and ad-hoc study rows.  A
+pooled replication dicts and ad-hoc study rows.  A
 :class:`ResultRow` is the common denominator all of them project onto —
 one operating point with a spec fingerprint, the workload, the offered
 rate, a latency with confidence bounds, a saturation flag and a

@@ -327,15 +327,14 @@ class Scenario:
     def sim_unit(self, rate: float, *, replications: int = 1) -> WorkUnit:
         """One simulation work unit at ``rate``.
 
-        ``replications > 1`` produces a pooled ``sim_batch`` unit (the
-        engine is pinned explicitly so the batch runs on this scenario's
-        backend rather than the kind's array default).
+        ``replications > 1`` adds ``replications`` and pins ``engine`` in
+        the params, so the unit pools R seeds and its key names the
+        backend; R = 1 leaves both to the defaults-omitted spec dict.
         """
         params = self.sim_spec(rate).to_params()
         if replications > 1:
             params["replications"] = replications
             params["engine"] = self.engine
-            return WorkUnit(kind="sim_batch", params=params)
         return WorkUnit(kind="sim", params=params)
 
     # -- materialisation ------------------------------------------------
@@ -413,9 +412,9 @@ class Scenario:
     ) -> ResultSet:
         """Simulated latency at the given rate(s) as a ResultSet.
 
-        With ``replications > 1`` every rate becomes one pooled
-        ``sim_batch`` row (seeds ``seed .. seed + R - 1``; on the array
-        engine the whole batch advances in one vectorized process).
+        With ``replications > 1`` every rate becomes one pooled row
+        (seeds ``seed .. seed + R - 1``; on the array engine the whole
+        batch advances in one vectorized process).
         ``workers > 1`` runs the rate points on that many processes.
         """
         rates = _rate_tuple(rates)
@@ -502,8 +501,9 @@ class Scenario:
         if store is None and not resume and workers == 1 and cache_dir is None:
             # In-process sweep: fuse compatible array-engine sim units so
             # an entire rate-ladder × seed grid advances as one batched
-            # SimState (results are bit-identical to per-unit dispatch —
-            # replications never couple).  Stores, resume, caching and
+            # SimState (counts match per-unit dispatch; float sums can
+            # differ in the last bits, since companions perturb the order
+            # completions accumulate in).  Stores, resume, caching and
             # process pools keep the per-unit campaign path.
             from repro.campaign.kinds import run_units_fused
 

@@ -13,12 +13,12 @@ Built-ins
 ``saturation``
     Bracket-expanding saturation search -> ``SaturationSearch``.
 ``sim``
-    One flit-level simulation run -> ``SimulationResult`` (the backend
-    comes from the spec's ``engine`` field: object or array).
-``sim_batch``
-    R replications (``replications`` param, default 8) of one simulation
-    point in a single vectorized process -> pooled summary dict with an
-    across-replication confidence interval.
+    One flit-level simulation point (the backend comes from the spec's
+    ``engine`` field: object or array).  With ``replications`` R > 1
+    (default 1) seeds ``seed .. seed + R - 1`` run as one batch and
+    pool into a summary dict with an across-replication confidence
+    interval, e.g. ``starnet campaign --kind sim --set replications=16
+    --set engine=array``; R = 1 returns the ``SimulationResult``.
 ``scale_point``
     One row of the large-n scale study (distance stats, saturation,
     half-load latency, solve time) -> dict.
@@ -98,20 +98,34 @@ _FUSE_VARYING = (
 )
 
 
+def _sim_request(params: Mapping[str, Any]) -> tuple[SimSpec, int]:
+    """The SimSpec and replication count a ``sim`` unit's params name."""
+    params = dict(params)
+    replications = int(params.pop("replications", 1))
+    if replications < 1:
+        raise ConfigurationError(f"replications must be >= 1, got {replications}")
+    return SimSpec.from_params(params), replications
+
+
+def _pooled(results: list) -> Any:
+    """A ``sim`` unit's result from its R runs (see :func:`sim_point`)."""
+    from repro.simulation.backends import summarize_batch
+
+    return results[0] if len(results) == 1 else summarize_batch(results)
+
+
 def fused_sim_group(unit) -> tuple | None:
     """Structural grouping key of a fusible work unit, or ``None``.
 
-    ``sim``/``sim_batch`` units on the array engine whose keys agree can
-    advance as one batched simulation (each unit expands to one or more
-    per-replication configs).  Every other unit — object-engine runs,
-    model/bound/scale points — returns ``None`` and executes alone.
+    ``sim`` units on the array engine whose keys agree can advance as
+    one batched simulation (each unit expands to its R per-replication
+    configs).  Every other unit — object-engine runs, model/bound/scale
+    points — returns ``None`` and executes alone.
     """
-    if unit.kind not in ("sim", "sim_batch"):
+    if unit.kind != "sim":
         return None
     params = dict(unit.params)
     params.pop("replications", None)
-    if unit.kind == "sim_batch":
-        params.setdefault("engine", "array")
     if params.get("engine") != "array":
         return None
     for name in _FUSE_VARYING:
@@ -119,51 +133,24 @@ def fused_sim_group(unit) -> tuple | None:
     return tuple(sorted(params.items()))
 
 
-def _expand_fused_unit(unit) -> list:
-    """The per-replication configs one fusible unit contributes."""
-    params = dict(unit.params)
-    replications = int(params.pop("replications", 8))
-    if unit.kind == "sim_batch":
-        params.setdefault("engine", "array")
-    spec = SimSpec.from_params(params)
-    if unit.kind == "sim":
-        return [spec.config]
-    return [spec.config.with_seed(spec.config.seed + i) for i in range(replications)]
-
-
 def _run_fused_group(units: list) -> list[Any]:
     """Run one structurally-compatible group as a single batched sim.
 
-    Returns one result per unit, in unit order: ``sim`` units yield
-    their single :class:`SimulationResult`, ``sim_batch`` units the
-    pooled summary of their replication slice.  Per-replication purity
-    of the array backend makes each result bit-identical to running the
-    unit on its own.
+    Returns one result per unit, in unit order, in :func:`sim_point`'s
+    form.  Counts match running each unit alone; float sums can differ
+    in the last bits (see :func:`repro.simulation.backends.simulate_many`).
     """
-    from repro.simulation.backends import simulate_many, summarize_batch
+    from repro.simulation.backends import simulate_many
 
     configs: list = []
-    slices: list[tuple[str, int, int]] = []
-    spec = None
+    slices: list[tuple[int, int]] = []
     for unit in units:
-        cfgs = _expand_fused_unit(unit)
-        params = {
-            k: v for k, v in unit.params.items() if k != "replications"
-        }
-        if unit.kind == "sim_batch":
-            params.setdefault("engine", "array")
-        spec = SimSpec.from_params(params)
-        slices.append((unit.kind, len(configs), len(cfgs)))
-        configs.extend(cfgs)
+        spec, replications = _sim_request(unit.params)
+        slices.append((len(configs), replications))
+        configs.extend(spec.config.with_seed(spec.config.seed + i) for i in range(replications))
     topology, algorithm, _ = spec.build()
     results = simulate_many(topology, algorithm, configs, engine="array")
-    out: list[Any] = []
-    for kind, off, n in slices:
-        if kind == "sim":
-            out.append(results[off])
-        else:
-            out.append(summarize_batch(results[off : off + n]))
-    return out
+    return [_pooled(results[off : off + n]) for off, n in slices]
 
 
 def run_units_fused(units, progress=None, events=None, trace=None) -> list[Any]:
@@ -256,25 +243,14 @@ def saturation_point(params: Mapping[str, Any]):
 
 @register_kind("sim")
 def sim_point(params: Mapping[str, Any]):
-    """One simulation run described by the flat SimSpec dict."""
-    return SimSpec.from_params(params).run()
+    """One simulation point described by the flat SimSpec dict.
 
-
-@register_kind("sim_batch")
-def sim_batch_point(params: Mapping[str, Any]):
-    """R replications of one simulation point, pooled into a summary row.
-
-    ``replications`` (default 8) seeds run ``seed .. seed + R - 1``.  On
-    the array engine (the default here) the whole batch advances in one
-    vectorized process — the confidence-interval counterpart of ``sim``.
+    ``replications`` R (default 1) runs seeds ``seed .. seed + R - 1`` as
+    one batch: R = 1 returns the :class:`SimulationResult`, R > 1 the
+    pooled :func:`~repro.simulation.backends.summarize_batch` row.
     """
-    from repro.simulation.backends import summarize_batch
-
-    params = dict(params)
-    replications = int(params.pop("replications", 8))
-    params.setdefault("engine", "array")
-    spec = SimSpec.from_params(params)
-    return summarize_batch(spec.run_batch(replications))
+    spec, replications = _sim_request(params)
+    return _pooled(spec.run_batch(replications))
 
 
 @register_kind("scale_point")

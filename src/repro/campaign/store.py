@@ -46,9 +46,42 @@ try:  # POSIX advisory locks; absent on exotic platforms -> no-op locking
 except ImportError:  # pragma: no cover - POSIX-only test environment
     fcntl = None  # type: ignore[assignment]
 
+from repro.campaign.grid import canonical_key
 from repro.utils.atomicio import atomic_write_bytes
 
-__all__ = ["ResultStore", "ShardedResultStore", "open_store"]
+__all__ = ["ResultStore", "ShardedResultStore", "migrate_record", "open_store"]
+
+
+def migrate_record(record: dict) -> dict:
+    """A stored record in the current schema (most pass unchanged).
+
+    Replicated points used to be kind ``sim_batch``, whose params
+    defaulted ``engine`` to ``"array"`` and ``replications`` to 8 and
+    whose pooled payload named its flag ``any_saturated``.  Such a
+    record becomes kind ``sim`` with both defaults written into its
+    params, the flag renamed ``saturated``, and the key recomputed: the
+    key a ``sim`` unit with those params has, so resume finds it.
+    """
+    if record.get("kind") != "sim_batch":
+        return record
+    params = {"engine": "array", "replications": 8, **record.get("params", {})}
+    result = dict(record.get("result", {}))
+    if "any_saturated" in result:
+        result["saturated"] = result.pop("any_saturated")
+    key = canonical_key("sim", params)
+    return {**record, "key": key, "kind": "sim", "params": params, "result": result}
+
+
+def _line_count(path: Path) -> int:
+    """Non-blank lines of a store file (records, torn or not)."""
+    with path.open("r", encoding="utf-8") as fh:
+        return sum(1 for line in fh if line.strip())
+
+
+def _write_records(path: Path, records: Mapping[str, dict]) -> None:
+    """Replace ``path`` with ``records``, one JSON line each, atomically."""
+    blob = "".join(json.dumps(record, default=str) + "\n" for record in records.values())
+    atomic_write_bytes(path, blob.encode("utf-8"))
 
 
 @contextmanager
@@ -88,7 +121,8 @@ class ResultStore:
         """Read every complete record, keyed by unit hash (last wins).
 
         A truncated trailing line — the signature of a killed campaign —
-        is ignored rather than treated as corruption.
+        is ignored rather than treated as corruption.  Legacy records
+        come back through :func:`migrate_record`, in the current schema.
         """
         records: dict[str, dict] = {}
         if not self.path.exists():
@@ -102,6 +136,7 @@ class ResultStore:
                     record = json.loads(line)
                 except json.JSONDecodeError:
                     continue
+                record = migrate_record(record)
                 key = record.get("key")
                 if key:
                     records[key] = record
@@ -184,11 +219,8 @@ class ResultStore:
         records = self.load()
         if not self.path.exists():
             return (0, 0)
-        total = sum(1 for ln in self.path.read_text(encoding="utf-8").splitlines() if ln.strip())
-        blob = "".join(
-            json.dumps(record, default=str) + "\n" for record in records.values()
-        ).encode("utf-8")
-        atomic_write_bytes(self.path, blob)
+        total = _line_count(self.path)
+        _write_records(self.path, records)
         return (len(records), total - len(records))
 
     def close(self) -> None:
@@ -269,12 +301,18 @@ class ShardedResultStore(ResultStore):
     # -- reading --------------------------------------------------------
 
     def load(self) -> dict[str, dict]:
-        records: dict[str, dict] = {}
+        """Merge the shards, last wins within each; a record off its key's
+        shard (re-keyed by :func:`migrate_record`, not yet moved by
+        :meth:`compact`) yields to one on it, which was written later."""
+        home: dict[str, dict] = {}
+        strays: dict[str, dict] = {}
         if not self.path.exists():
-            return records
+            return home
         for shard_path in sorted(self.path.glob("shard-*.jsonl")):
-            records.update(ResultStore(shard_path).load())
-        return records
+            for key, record in ResultStore(shard_path).load().items():
+                on_home = shard_path == self._shard_path(_shard_of(key, self.shards))
+                (home if on_home else strays)[key] = record
+        return {**strays, **home}
 
     def signature(self) -> tuple:
         if not self.path.exists():
@@ -304,15 +342,23 @@ class ShardedResultStore(ResultStore):
     # -- maintenance ----------------------------------------------------
 
     def compact(self) -> tuple[int, int]:
-        """Compact every shard (offline; see :meth:`ResultStore.compact`)."""
-        kept = dropped = 0
+        """Compact every shard (offline; see :meth:`ResultStore.compact`),
+        moving each record to the shard its key names.  Shards first gain
+        the records moving in, then drop those moving out: a crash in
+        between can leave a record on two shards, never on none."""
         if not self.path.exists():
             return (0, 0)
-        for shard_path in sorted(self.path.glob("shard-*.jsonl")):
-            k, d = ResultStore(shard_path).compact()
-            kept += k
-            dropped += d
-        return (kept, dropped)
+        held = {p: ResultStore(p).load() for p in sorted(self.path.glob("shard-*.jsonl"))}
+        total = sum(map(_line_count, held))
+        records = self.load()
+        home: dict[Path, dict] = {p: {} for p in held}
+        for key, record in records.items():
+            home.setdefault(self._shard_path(_shard_of(key, self.shards)), {})[key] = record
+        for path in home:
+            _write_records(path, {**held.get(path, {}), **home[path]})
+        for path in home:
+            _write_records(path, home[path])
+        return (len(records), total - len(records))
 
     def close(self) -> None:
         for child in self._children.values():

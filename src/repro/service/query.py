@@ -40,7 +40,7 @@ class Query:
         upgrades the next identical query to a warm hit).
     replications:
         Simulation replications the refinement unit pools (``> 1``
-        produces a ``sim_batch`` unit with an across-replication CI).
+        gives a pooled row with an across-replication CI).
     """
 
     scenario: Scenario

@@ -60,23 +60,9 @@ BUDGET_FLOOR = 0.005
 #: cross-validation has at least one interior point to score.
 MIN_FIT_POINTS = 3
 
-#: Family namespaces, in answer-preference order: measured simulation
-#: curves beat analytical ones, bounds only answer when nothing else can.
-FAMILY_KINDS = ("sim", "model", "bound")
-
-#: Record kinds each family namespace pools (sim and sim_batch rows
-#: sample the same curve and interleave on one grid).
-_KIND_FAMILIES = {
-    "sim": "sim",
-    "sim_batch": "sim",
-    "model": "model",
-    "bound": "bound",
-}
-
-#: The parameter holding the offered rate, per record kind.
+#: The parameter holding the offered rate, per family kind.
 _RATE_PARAM = {
     "sim": "generation_rate",
-    "sim_batch": "generation_rate",
     "model": "rate",
     "bound": "rate",
 }
@@ -85,15 +71,15 @@ _RATE_PARAM = {
 def _family_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
     """The family identity of a record: its params minus the rate axis.
 
-    For simulation kinds, ``replications`` is also stripped (it sizes
+    For ``sim`` records, ``replications`` is also stripped (it sizes
     the batch, it does not move the curve) and the backend is pinned
-    explicitly so defaults-omitted ``sim`` params and engine-pinned
-    ``sim_batch`` params land in the same family exactly when they
-    describe the same backend.
+    explicitly so defaults-omitted single runs and engine-pinned
+    replicated runs land in the same family exactly when they describe
+    the same backend.
     """
     out = dict(params)
     out.pop(_RATE_PARAM[kind], None)
-    if _KIND_FAMILIES[kind] == "sim":
+    if kind == "sim":
         out.pop("replications", None)
         out.setdefault("engine", "object")
     return out
@@ -101,10 +87,9 @@ def _family_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
 
 def family_of_record(kind: str, params: Mapping[str, Any]) -> str | None:
     """Family fingerprint of a stored record, or None for other kinds."""
-    family_kind = _KIND_FAMILIES.get(kind)
-    if family_kind is None:
+    if kind not in _RATE_PARAM:
         return None
-    return canonical_key(f"family:{family_kind}", _family_params(kind, params))
+    return canonical_key(f"family:{kind}", _family_params(kind, params))
 
 
 def query_families(scenario: Scenario) -> dict[str, str]:
@@ -229,11 +214,10 @@ class SurrogateIndex:
     def _ingest(self, record: Mapping[str, Any]) -> None:
         kind = record.get("kind")
         params = record.get("params")
-        family_kind = _KIND_FAMILIES.get(kind)
-        if family_kind is None or not isinstance(params, Mapping):
+        if kind not in _RATE_PARAM or not isinstance(params, Mapping):
             return
         rate_value = params.get(_RATE_PARAM[kind])
-        if kind in ("sim", "sim_batch") and rate_value is None:
+        if kind == "sim" and rate_value is None:
             # Defaults-omitted sim params fall back to the config default.
             rate_value = 0.001
         if rate_value is None:
@@ -248,7 +232,7 @@ class SurrogateIndex:
         held = self._exact.get((family, rate))
         if held is None or row.replications >= held.replications:
             self._exact[(family, rate)] = row
-        self._families.setdefault(family, (family_kind, []))[1].append(point)
+        self._families.setdefault(family, (kind, []))[1].append(point)
         self._fits.pop(family, None)
         self.records += 1
 

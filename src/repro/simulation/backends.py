@@ -14,7 +14,7 @@ substitutes the object engine, whose results would then pose as
 array-engine results.
 
 The backend is named by :attr:`SimulationConfig.engine`, and every entry
-point — ``SimSpec.run``, the campaign ``sim``/``sim_batch`` kinds, the
+point — ``SimSpec.run``, the campaign ``sim`` kind, the
 ``starnet sim``/``campaign``/``validate`` CLI — routes through
 :func:`simulate_many` here; :func:`simulate` (one config) and
 :func:`simulate_batch` (one config, R seeds) are thin wrappers over it.
@@ -136,9 +136,9 @@ def simulate_batch(
     ``seeds`` defaults to ``config.seed .. config.seed + R - 1``.  On the
     array backend all replications advance through one cycle loop (a
     confidence-interval run costs one process); on the object
-    backend the seeds run sequentially.  Either way replication ``i``'s
-    result is a pure function of ``seeds[i]`` — batching never couples
-    replications.
+    backend the seeds run sequentially.  Replication ``i``'s counts
+    depend only on ``seeds[i]``; its float sums can differ from a solo
+    run's in the last bits (see :func:`simulate_many`).
     """
     if replications < 1:
         raise ConfigurationError(f"replications must be >= 1, got {replications}")
@@ -176,8 +176,10 @@ def simulate_many(
     set advances as *one* batched simulation — e.g. an entire rate-ladder
     × seed grid in a single pass — with each replication stopped and
     snapshotted at its own horizon.  On the object backend the configs
-    run sequentially.  Either way result ``i`` is a pure function of
-    ``configs[i]`` alone, bit-identical to running it solo.
+    run sequentially.  Result ``i``'s counts are those of ``configs[i]``
+    run solo; on the array backend its float sums (``mean_latency``...)
+    can differ in the last bits, because batch companions perturb the
+    order in which a cycle's completions accumulate.
     """
     configs = list(configs)
     if not configs:
@@ -199,7 +201,8 @@ def summarize_batch(results: Sequence[SimulationResult]) -> dict:
 
     The across-replication 95% confidence interval treats each
     replication's mean as one observation (Student-t critical value, like
-    the per-run batch-means CI).
+    the per-run batch-means CI).  Fields are named as in
+    :meth:`SimulationResult.as_dict` (``saturated``: any replication did).
     """
     if not results:
         raise ConfigurationError("summarize_batch needs at least one result")
@@ -225,7 +228,7 @@ def summarize_batch(results: Sequence[SimulationResult]) -> dict:
             sum(r.accepted_rate for r in results) / len(results), 6
         ),
         "messages_measured": sum(r.messages_measured for r in results),
-        "any_saturated": any(r.saturated for r in results),
+        "saturated": any(r.saturated for r in results),
         "cycles_run": max(r.cycles_run for r in results),
     }
     if hop_stats:

@@ -4,9 +4,9 @@ The paper validates the model against simulation for one workload only
 (uniform destinations, Poisson sources).  This module generalises that
 check to any set of :mod:`repro.workloads` specifications: a campaign
 grid with a ``workload`` axis sweeps both the analytical model (kind
-``model``) and the flit-level simulator (kind ``sim``, or ``sim_batch``
-when pooled replications are requested) over a shared rate ladder, and
-each workload gets its own
+``model``) and the flit-level simulator (kind ``sim``, pooling
+``replications`` runs per point when asked) over a shared rate ladder,
+and each workload gets its own
 :class:`~repro.validation.compare.CurveComparison` plus a
 :class:`~repro.api.results.ResultSet` of uniform model/sim rows.
 
@@ -152,12 +152,9 @@ def validation_grids(
         # Non-default routing must reach the sim units; the default stays
         # out of the params so historical campaign keys hold.
         pinned.append(("algorithm", scenario.algorithm))
-    kind = "sim"
     if replications > 1:
-        # Pooled replications are a new (post-facade) grid shape, so the
-        # engine is always pinned — the sim_batch kind would otherwise
-        # default it to the array backend.
-        kind = "sim_batch"
+        # Replicated units pin the engine (as Scenario.sim_unit does), so
+        # their keys name the backend and match migrated legacy rows.
         pinned.append(("replications", replications))
         pinned.append(("engine", engine))
     elif engine != "object":
@@ -165,7 +162,7 @@ def validation_grids(
         # object-engine stores keep their content hashes.
         pinned.append(("engine", engine))
     sim_grid = GridSpec(
-        kind=kind,
+        kind="sim",
         axes=(("workload", tuple(workloads)), ("generation_rate", tuple(rates))),
         pinned=tuple(pinned),
     )
@@ -198,15 +195,8 @@ def _shared_rate_ladder(
     return tuple(round(f * sat, 6) for f in fractions)
 
 
-def _sim_latency(result: Any) -> tuple[float, bool]:
-    """(mean latency, saturated) of a sim / sim_batch result."""
-    if isinstance(result, Mapping):  # pooled sim_batch summary row
-        return float(result["mean_latency"]), bool(result["any_saturated"])
-    return result.mean_latency, result.saturated
-
-
 def _hop_rows(result: Any) -> tuple[dict, ...]:
-    """Measured per-hop blocking rows of a sim / sim_batch result."""
+    """Measured per-hop blocking rows of a sim result (run or pooled)."""
     if isinstance(result, Mapping):
         return tuple(result.get("hop_blocking") or ())
     if result.hop_blocking is None:
@@ -275,11 +265,11 @@ def validate_workloads(
 ) -> list[WorkloadValidation]:
     """Compare model and simulator per workload below saturation.
 
-    Every (workload, rate) pair expands into one ``model`` and one sim
-    campaign work unit — kind ``sim`` for single runs, ``sim_batch``
-    (pooled across-replication CI) when ``replications > 1`` — and both
-    grids run through :func:`repro.campaign.runner.run_campaign`
-    (``workers > 1`` fans out over a process pool).  Returns one
+    Every (workload, rate) pair expands into one ``model`` and one
+    ``sim`` campaign work unit (a pooled across-replication CI when
+    ``replications > 1``), and both grids run through
+    :func:`repro.campaign.runner.run_campaign` (``workers > 1`` fans out
+    over a process pool).  Returns one
     validation record per workload, in input order, each carrying its
     paired model/sim :class:`~repro.api.results.ResultSet` rows and,
     with ``hops=True``, the measured per-hop blocking tables.
@@ -340,18 +330,18 @@ def validate_workloads(
             i = w_idx * n_rates + r_idx
             model = model_results[i]
             sim = sim_results[i]
-            sim_latency, sim_saturated = _sim_latency(sim)
+            sim_row = row_from_unit(sim_units[i], sim)
             points.append(
                 OperatingPoint(
                     generation_rate=rate,
                     model_latency=model.latency,
-                    sim_latency=sim_latency,
+                    sim_latency=sim_row.latency,
                     model_saturated=model.saturated,
-                    sim_saturated=sim_saturated,
+                    sim_saturated=sim_row.saturated,
                 )
             )
             rows.rows.append(row_from_unit(model_units[i], model))
-            rows.rows.append(row_from_unit(sim_units[i], sim))
+            rows.rows.append(sim_row)
             if hops:
                 profiles.append((rate, _hop_rows(sim)))
         out.append(

@@ -190,9 +190,9 @@ class TestUnits:
         assert unit.params["order"] == 4
         assert unit.params["generation_rate"] == 0.004
 
-    def test_sim_batch_unit_pins_engine(self):
+    def test_replicated_sim_unit_pins_engine(self):
         unit = Scenario(order=4).sim_unit(0.004, replications=4)
-        assert unit.kind == "sim_batch"
+        assert unit.kind == "sim"
         assert unit.params["replications"] == 4
         assert unit.params["engine"] == "object"
 

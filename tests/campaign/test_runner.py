@@ -163,31 +163,41 @@ class TestJobsKnob:
     """``run_units_fused``: the serial in-process fused runner."""
 
     def test_fused_jobs_parity(self):
-        """Fused and solo units come back in unit order, equal to per-unit runs."""
-        from repro.campaign.kinds import lookup, run_units_fused
+        """Fused and solo units come back in unit order, equal to per-unit runs.
 
+        One fused group holds R = 2 and R = 1 ``sim`` units, so pooled
+        and single-run results come out of the same batch.
+        """
+        from repro.api.convert import row_from_unit
+        from repro.campaign.kinds import run_units_fused
+
+        pinned = (
+            ("order", 4),
+            ("message_length", 16),
+            ("total_vcs", 5),
+            ("engine", "array"),
+            ("seed", 0),
+            ("warmup_cycles", 100),
+            ("measure_cycles", 400),
+            ("drain_cycles", 600),
+        )
         grid = GridSpec(
-            kind="sim_batch",
+            kind="sim",
             axes=(("generation_rate", (0.001, 0.002, 0.003)),),
-            pinned=(
-                ("order", 4),
-                ("message_length", 16),
-                ("total_vcs", 5),
-                ("engine", "array"),
-                ("replications", 2),
-                ("seed", 0),
-                ("warmup_cycles", 100),
-                ("measure_cycles", 400),
-                ("drain_cycles", 600),
-            ),
+            pinned=pinned + (("replications", 2),),
         )
         units = grid.expand()
+        units.append(WorkUnit("sim", {**dict(pinned), "generation_rate": 0.004}))
         # Mix in a non-fusible unit so both a fused group and a solo unit run.
         units = units + [
             WorkUnit("model", {"order": 4, "message_length": 8, "rate": 0.002})
         ]
         fused = run_units_fused(units)
-        assert fused == [lookup(u.kind)(u.params) for u in units]
+        assert [type(r).__name__ for r in fused[3:]] == ["SimulationResult", "ModelResult"]
+        per_unit = run_campaign(units).results
+        assert [row_from_unit(u, r) for u, r in zip(units, fused)] == [
+            row_from_unit(u, r) for u, r in zip(units, per_unit)
+        ]
 
     def test_fused_jobs_progress_reaches_total(self):
         from repro.campaign.kinds import run_units_fused

@@ -1,6 +1,12 @@
-"""JSONL result store: append, reload, interruption tolerance."""
+"""JSONL result store: append, reload, interruption tolerance, migration."""
 
-from repro.campaign.store import ResultStore, ShardedResultStore, open_store
+import pytest
+
+from repro.api.convert import row_from_unit
+from repro.campaign.grid import GridSpec, WorkUnit, canonical_key
+from repro.campaign.runner import run_campaign
+from repro.campaign.store import ResultStore, ShardedResultStore, _shard_of, open_store
+from repro.service.surrogate import family_of_record
 
 
 class TestResultStore:
@@ -150,3 +156,109 @@ class TestOpenStore:
         a = open_store(tmp_path / "flat.jsonl").load()["k1"]
         b = open_store(tmp_path / "sharded").load()["k1"]
         assert a == b
+
+
+#: Legacy ``sim_batch`` pins and the (engine, replications) they migrate
+#: to.  "engine omitted" is what ``starnet campaign --kind sim_batch --set
+#: order=4 --set message_length=16 --set replications=4`` wrote.
+_LEGACY_PINS = {
+    "engine omitted": ({"replications": 4}, "array", 4),
+    "engine pinned": ({"replications": 4, "engine": "object"}, "object", 4),
+    "replications omitted": ({}, "array", 8),
+}
+_LEGACY_RATES = (0.004, 0.008)
+_BASE = {"order": 4, "message_length": 16}
+
+
+def _write_legacy(path, pins, replications):
+    """Append legacy records under their old keys (and old shards)."""
+    with open_store(path) as store:
+        for rate in _LEGACY_RATES:
+            params = {**_BASE, "generation_rate": rate, **pins}
+            payload = {
+                "replications": replications,
+                "mean_latency": 40.0 + 1000 * rate,
+                "latency_ci": 1.5,
+                "mean_network_latency": 30.0,
+                "accepted_rate": rate,
+                "messages_measured": 1200,
+                "any_saturated": rate == 0.008,
+                "cycles_run": 3400,
+            }
+            store.append(canonical_key("sim_batch", params), "sim_batch", params, payload)
+
+
+def _store_path(tmp_path, layout):
+    return tmp_path / ("legacy.jsonl" if layout == "flat" else "legacy")
+
+
+class TestLegacySimBatchMigration:
+    """Stores from before ``sim`` took ``replications`` resume as ``sim``."""
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    @pytest.mark.parametrize("case", list(_LEGACY_PINS))
+    def test_legacy_rows_resume_as_sim(self, tmp_path, layout, case):
+        pins, engine, replications = _LEGACY_PINS[case]
+        path = _store_path(tmp_path, layout)
+        _write_legacy(path, pins, replications)
+        family = family_of_record("sim", {**_BASE, "engine": engine})
+        other = family_of_record(
+            "sim", {**_BASE, "engine": "object" if engine == "array" else "array"}
+        )
+        records = open_store(path).load()
+        for record in records.values():
+            # What the service's index does with every stored record.
+            unit = WorkUnit(record["kind"], record["params"])
+            row = row_from_unit(unit, record["result"])
+            assert (row.engine, row.replications) == (engine, replications)
+            assert row.saturated == (row.rate == 0.008)
+            assert family_of_record(unit.kind, unit.params) == family != other
+            assert record["kind"] == "sim"
+        units = GridSpec(
+            kind="sim",
+            axes=(("generation_rate", _LEGACY_RATES),),
+            pinned=tuple(_BASE.items())
+            + (("engine", engine), ("replications", replications)),
+        ).expand()
+        assert set(records) == {canonical_key("sim", u.params) for u in units}
+        result = run_campaign(units, store=path, resume=True)
+        assert "2 units, 0 computed, 2 resumed" in result.summary()
+
+    @pytest.mark.parametrize("layout", ["flat", "sharded"])
+    def test_compact_rewrites_legacy_rows_as_sim(self, tmp_path, layout):
+        path = _store_path(tmp_path, layout)
+        pins, _, replications = _LEGACY_PINS["engine omitted"]
+        _write_legacy(path, pins, replications)
+        before = open_store(path).load()
+        store = open_store(path)
+        assert store.compact() == (2, 0)
+        files = [path] if layout == "flat" else sorted(path.glob("shard-*.jsonl"))
+        text = "".join(f.read_text() for f in files)
+        assert "sim_batch" not in text and "any_saturated" not in text
+        assert open_store(path).load() == before
+        if layout == "sharded":
+            # Re-keyed records moved to the shard their new key names.
+            for shard in files:
+                for key in ResultStore(shard).load():
+                    assert shard == store._shard_path(_shard_of(key, store.shards))
+
+    def test_unmoved_legacy_record_never_beats_a_later_one(self, tmp_path):
+        """Before compaction a migrated record sits on its old key's shard."""
+        root = tmp_path / "legacy"
+        rates = tuple(0.001 * (i + 1) for i in range(8))
+        with ShardedResultStore(root, shards=16) as store:
+            for rate in rates:
+                params = {**_BASE, "generation_rate": rate}
+                store.append(canonical_key("sim_batch", params), "sim_batch", params, {"v": 0})
+            moved = 0
+            for rate in rates:
+                params = {"engine": "array", "replications": 8, **_BASE, "generation_rate": rate}
+                key = canonical_key("sim", params)
+                store.append(key, "sim", params, {"v": 1})
+                moved += _shard_of(key, 16) != _shard_of(
+                    canonical_key("sim_batch", {**_BASE, "generation_rate": rate}), 16
+                )
+        assert moved > 0
+        records = ShardedResultStore(root).load()
+        assert len(records) == len(rates)
+        assert all(r["result"]["v"] == 1 for r in records.values())

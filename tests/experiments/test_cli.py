@@ -15,6 +15,12 @@ class TestParser:
         assert args.panel == "a"
         assert args.quality == "quick"
 
+    def test_campaign_has_one_sim_kind(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["campaign", "--kind", "sim_batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sim_batch'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_properties(self, capsys):

@@ -53,10 +53,10 @@ class TestFamilyIdentity:
         b = family_of_record("model", {"rate": 0.01, "order": 5})
         assert a != b
 
-    def test_sim_and_sim_batch_share_a_family(self):
+    def test_single_and_replicated_sims_share_a_family(self):
         sim = {"generation_rate": 0.004, "order": 4}
         batch = {"generation_rate": 0.008, "order": 4, "replications": 8, "engine": "object"}
-        assert family_of_record("sim", sim) == family_of_record("sim_batch", batch)
+        assert family_of_record("sim", sim) == family_of_record("sim", batch)
 
     def test_different_backends_split_sim_families(self):
         a = family_of_record("sim", {"order": 4})

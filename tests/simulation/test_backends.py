@@ -332,7 +332,7 @@ class TestBatchedReplications:
         means = [r.mean_latency for r in batch]
         assert row["mean_latency"] == pytest.approx(np.mean(means), abs=1e-3)
         assert row["latency_ci"] > 0
-        assert not row["any_saturated"]
+        assert not row["saturated"]
 
     def test_summarize_batch_ci_is_student_t(self, star4):
         batch = simulate_batch(star4, EnhancedNbc(), small_config(), 4, engine="array")
