@@ -39,6 +39,9 @@ def served(tmp_path_factory):
 
 
 def _assert_under_ceiling(benchmark, label: str) -> None:
+    if benchmark.stats is None:
+        # --benchmark-disable runs the round once, untimed: no mean to gate.
+        return
     per_query = benchmark.stats["mean"] / _BATCH
     benchmark.extra_info["queries_per_round"] = _BATCH
     benchmark.extra_info[f"{label}_query_us"] = round(per_query * 1e6, 2)

@@ -18,7 +18,7 @@ from repro.api.results import ResultRow
 from repro.bounds.network import BoundSpec
 from repro.campaign.grid import WorkUnit
 from repro.core.spec import ModelSpec
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import LEGACY_ENGINE, SimulationConfig
 from repro.simulation.spec import SimSpec
 from repro.utils.exceptions import ConfigurationError
 
@@ -40,15 +40,18 @@ def _spec_defaults(cls, names: tuple[str, ...]) -> dict[str, Any]:
 
 #: Context defaults of model-kind params (ModelSpec's defaults-omitted
 #: dict form) and sim-kind params (SimSpec + SimulationConfig), read off
-#: the spec dataclasses so they can never drift out of sync.
+#: the spec dataclasses so they can never drift out of sync.  A sim
+#: params dict without ``engine`` is a legacy object-engine record
+#: (``LEGACY_ENGINE``), not a run on today's default engine.
 _MODEL_DEFAULTS = _spec_defaults(
     ModelSpec, ("topology", "order", "message_length", "total_vcs")
 )
 _SIM_DEFAULTS = {
     **_spec_defaults(SimSpec, ("topology", "order", "algorithm")),
     **_spec_defaults(
-        SimulationConfig, ("message_length", "total_vcs", "engine", "seed")
+        SimulationConfig, ("message_length", "total_vcs", "seed")
     ),
+    "engine": LEGACY_ENGINE,
 }
 
 

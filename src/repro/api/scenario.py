@@ -21,9 +21,11 @@ simulated and bound rows share one wire format.
 
 Key stability: the facade builds campaign work units through the same
 ``ModelSpec.to_params()`` / ``SimSpec.to_params()`` defaults-omitted
-dicts as the pre-facade experiment drivers, so content-hash keys for
-default scenarios are byte-identical to historical campaign stores
-(pinned in ``tests/api/test_key_stability.py``).
+dicts as the pre-facade experiment drivers, so model keys are
+byte-identical to historical campaign stores.  Sim keys always name
+their ``engine``; the store re-keys older engine-less (object) sim
+rows on load, so object-pinned scenarios resume from them (both pinned
+in ``tests/api/test_key_stability.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.campaign.grid import WorkUnit, canonical_key, parse_axis_values
 from repro.campaign.runner import run_campaign
 from repro.core.spec import ModelSpec
 from repro.core.solver import SolverSettings
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import DEFAULT_ENGINE, SimulationConfig
 from repro.simulation.spec import SimSpec
 from repro.utils.exceptions import ConfigurationError
 from repro.workloads.spec import WorkloadSpec
@@ -92,7 +94,9 @@ class Scenario:
         Simulation window preset (``smoke`` / ``quick`` / ``full``);
         the explicit ``*_cycles`` fields override individual windows.
     engine:
-        Simulation backend (``"object"`` or ``"array"``).
+        Simulation backend: ``"array"`` (the default, the compiled C
+        loop) or ``"object"`` (the reference engine; name it where the
+        array engine refuses, e.g. more than 2048 nodes).
     seed:
         Master seed of simulation runs (replication i uses seed + i).
 
@@ -118,7 +122,7 @@ class Scenario:
     warmup_cycles: int | None = None
     measure_cycles: int | None = None
     drain_cycles: int | None = None
-    engine: str = "object"
+    engine: str = DEFAULT_ENGINE
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -327,14 +331,12 @@ class Scenario:
     def sim_unit(self, rate: float, *, replications: int = 1) -> WorkUnit:
         """One simulation work unit at ``rate``.
 
-        ``replications > 1`` adds ``replications`` and pins ``engine`` in
-        the params, so the unit pools R seeds and its key names the
-        backend; R = 1 leaves both to the defaults-omitted spec dict.
+        Its params always name ``engine``; ``replications > 1`` adds
+        ``replications``, so the unit pools R seeds.
         """
         params = self.sim_spec(rate).to_params()
         if replications > 1:
             params["replications"] = replications
-            params["engine"] = self.engine
         return WorkUnit(kind="sim", params=params)
 
     # -- materialisation ------------------------------------------------

@@ -30,6 +30,7 @@ from repro.campaign.grid import WorkUnit
 from repro.campaign.kinds import lookup
 from repro.campaign.store import ResultStore, open_store
 from repro.obs import EventSink, Heartbeat, TraceContext, emit_span
+from repro.simulation.config import LEGACY_ENGINE
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["CampaignResult", "run_campaign", "to_payload"]
@@ -119,6 +120,19 @@ def _resolve_events(events: EventSink | str | Path | None) -> tuple[EventSink | 
     return EventSink(events), True
 
 
+def _engine_named(unit: WorkUnit) -> WorkUnit:
+    """``unit`` with its engine written into its params.
+
+    Every stored ``sim`` record names its engine.  A ``sim`` unit whose
+    params do not is a legacy object-engine unit (as in
+    :func:`~repro.campaign.store.migrate_record`), so it is keyed, run
+    and stored as ``engine="object"`` — and resumes from its own rows.
+    """
+    if unit.kind != "sim" or "engine" in unit.params:
+        return unit
+    return WorkUnit(unit.kind, {**unit.params, "engine": LEGACY_ENGINE})
+
+
 def run_campaign(
     units: Iterable[WorkUnit],
     *,
@@ -168,7 +182,7 @@ def run_campaign(
         thread — durations are exact, ancestry comes from the parent
         links, never from time containment.
     """
-    unit_list = list(units)
+    unit_list = [_engine_named(u) for u in units]
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     the_store, owns_store = _resolve_store(store)

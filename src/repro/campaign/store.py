@@ -47,6 +47,7 @@ except ImportError:  # pragma: no cover - POSIX-only test environment
     fcntl = None  # type: ignore[assignment]
 
 from repro.campaign.grid import canonical_key
+from repro.simulation.config import LEGACY_ENGINE
 from repro.utils.atomicio import atomic_write_bytes
 
 __all__ = ["ResultStore", "ShardedResultStore", "migrate_record", "open_store"]
@@ -55,6 +56,12 @@ __all__ = ["ResultStore", "ShardedResultStore", "migrate_record", "open_store"]
 def migrate_record(record: dict) -> dict:
     """A stored record in the current schema (most pass unchanged).
 
+    Every ``sim`` key names its engine.  A ``sim`` record without
+    ``engine`` in its params was written when the object engine was the
+    default (and keys omitted it): it gets ``engine="object"``
+    (:data:`~repro.simulation.config.LEGACY_ENGINE`) and its key
+    recomputed, so an object-pinned unit resumes from it.
+
     Replicated points used to be kind ``sim_batch``, whose params
     defaulted ``engine`` to ``"array"`` and ``replications`` to 8 and
     whose pooled payload named its flag ``any_saturated``.  Such a
@@ -62,9 +69,14 @@ def migrate_record(record: dict) -> dict:
     params, the flag renamed ``saturated``, and the key recomputed: the
     key a ``sim`` unit with those params has, so resume finds it.
     """
-    if record.get("kind") != "sim_batch":
+    kind = record.get("kind")
+    params = record.get("params", {})
+    if kind == "sim" and "engine" not in params:
+        params = {**params, "engine": LEGACY_ENGINE}
+        return {**record, "key": canonical_key("sim", params), "params": params}
+    if kind != "sim_batch":
         return record
-    params = {"engine": "array", "replications": 8, **record.get("params", {})}
+    params = {"engine": "array", "replications": 8, **params}
     result = dict(record.get("result", {}))
     if "any_saturated" in result:
         result["saturated"] = result.pop("any_saturated")

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from repro.api.presets import available_presets
 from repro.api.scenario import Scenario, run_units
@@ -40,6 +41,7 @@ from repro.campaign.runner import to_payload
 from repro.experiments import ablations
 from repro.experiments.figure1 import FIGURE1_PANELS, panel_record, render_panel, reproduce_panel
 from repro.experiments.tables import render_table
+from repro.simulation.config import DEFAULT_ENGINE
 from repro.topology.properties import comparison_table
 from repro.topology.star import StarGraph, star_average_distance_closed_form
 from repro.utils.exceptions import ConfigurationError
@@ -75,16 +77,15 @@ _SCENARIO_FLAGS = {
 }
 
 #: Per-command scenario-flag defaults (dest -> value; None = unset).
-#: sim's engine is object, or array with --profile/--watch; validate's
-#: workloads default to a 3-workload suite.
+#: validate's workloads default to a 3-workload suite.
 _FIGURE1_DEFAULTS = dict(seed=0, quality="quick")
 _SIM_DEFAULTS = dict(
     topology="star", order=5, algorithm="enhanced_nbc", rate=0.001, load=None,
-    message_length=32, vcs=6, workload="uniform", seed=0, engine=None,
+    message_length=32, vcs=6, workload="uniform", seed=0, engine=DEFAULT_ENGINE,
     replications=1, quality="quick", warmup=None, measure=None, drain=None,
 )
 _VALIDATE_DEFAULTS = dict(
-    order=4, message_length=16, vcs=5, workload=None, seed=0, engine="object",
+    order=4, message_length=16, vcs=5, workload=None, seed=0, engine=DEFAULT_ENGINE,
     replications=1, quality="quick", warmup=None, measure=None, drain=None,
 )
 
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
             "them through the campaign engine.  The grid comes from a "
             "TOML/JSON spec file (--spec) or from --kind/--axis/--set flags; "
             "with --out the results stream to a JSONL store that --resume "
-            "reads back to skip completed units."
+            "reads back to skip completed units.  A sim grid that names no "
+            "engine runs on the default (array) engine, and its keys say so."
         ),
     )
     camp.add_argument("--spec", metavar="FILE", help="TOML/JSON grid-spec file")
@@ -284,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
         sim,
         _SIM_DEFAULTS,
         engine={
-            "help": "simulation backend: object (the reference) or array "
-            "(vectorized batch kernels; the default with --profile/--watch)"
+            "help": "simulation backend: array (the compiled C loop; "
+            "--profile/--watch need it) or object (the reference)"
         },
     )
     sim.add_argument("--hops", action="store_true", help="also print per-hop blocking")
@@ -438,10 +440,16 @@ def _campaign_grid(args) -> GridSpec:
             raise ConfigurationError(
                 "--spec cannot be combined with --kind/--axis/--set/--seeds"
             )
-        return grid
-    if not args.kind:
+    elif not args.kind:
         raise ConfigurationError("campaign needs either --spec or --kind")
-    return GridSpec.from_cli(args.kind, args.axis, args.pinned, args.seeds)
+    else:
+        grid = GridSpec.from_cli(args.kind, args.axis, args.pinned, args.seeds)
+    names = {name for name, _ in grid.axes + grid.pinned}
+    if grid.kind == "sim" and "engine" not in names:
+        # Every sim key names its engine: a params dict without one
+        # means a legacy object-engine row.
+        grid = replace(grid, pinned=grid.pinned + (("engine", DEFAULT_ENGINE),))
+    return grid
 
 
 def _campaign_table(result) -> str:
@@ -614,9 +622,7 @@ def _run_sim_command(args) -> int:
             raise ConfigurationError("--replications must be >= 1")
         if args.json and not observed:
             raise ConfigurationError("--json needs --profile or --watch")
-        if v["engine"] is None:
-            v["engine"] = "array" if observed else "object"
-        elif observed and v["engine"] != "array":
+        if observed and v["engine"] != "array":
             raise ConfigurationError(
                 "--profile/--watch observe the array kernel; drop --engine "
                 f"{v['engine']}"

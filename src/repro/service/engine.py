@@ -15,6 +15,9 @@ against a campaign result store through a three-tier resolution ladder:
    inline — milliseconds, always sound — tag it ``"cold"``, and enqueue
    a simulation work unit so background refinement lands the measured
    row in the store and upgrades the next identical query to warm.
+   Refinement runs on the scenario's engine (the array engine unless the
+   query names ``engine="object"``); the unit's key and the refined
+   row's ``engine`` name it.
 
 The engine is thread-safe: the HTTP server answers queries from
 executor threads while a refinement worker drains the queue, and both
@@ -56,6 +59,7 @@ from repro.obs import (
 )
 from repro.service.query import Query
 from repro.service.surrogate import SurrogateFit, SurrogateIndex, query_families
+from repro.simulation.backends import available_engines
 from repro.utils.exceptions import ConfigurationError
 
 __all__ = ["QueryEngine"]
@@ -137,7 +141,8 @@ class QueryEngine:
         )
         self._c_refined = self.registry.counter(
             "starnet_refinements_total",
-            "Background refinement units completed",
+            "Background refinement units completed, by simulation engine",
+            labelnames=("engine",),
         )
         self._c_appends = self.registry.counter(
             "starnet_store_appends_total",
@@ -151,9 +156,10 @@ class QueryEngine:
             "starnet_indexed_records",
             "Store records in the in-memory surrogate index",
         )
-        # Materialise the unlabelled series at 0 so a scrape before the
-        # first refinement still sees every catalogued metric.
-        self._c_refined.inc(0)
+        # Materialise the series at 0 so a scrape before the first
+        # refinement still sees every catalogued metric.
+        for name in available_engines():
+            self._c_refined.inc(0, engine=name)
         self._c_appends.inc(0)
         self._g_queue.set(0)
 
@@ -356,7 +362,8 @@ class QueryEngine:
                     key=key,
                     kind=unit.kind,
                 )
-        self._c_refined.inc(len(units))
+        for unit in units:
+            self._c_refined.inc(engine=unit.params["engine"])
         # One store row lands per refined unit (the campaign's append
         # path), so the append counter advances in lockstep.
         self._c_appends.inc(len(units))
@@ -378,7 +385,9 @@ class QueryEngine:
         }
         out = {name: int(self._c_queries.value(tier=t)) for name, t in tiers.items()}
         out["queries"] = sum(out.values())
-        out["refined"] = int(self._c_refined.value())
+        out["refined"] = int(
+            sum(self._c_refined.value(engine=name) for name in available_engines())
+        )
         return out
 
     @property

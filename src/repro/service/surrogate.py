@@ -72,16 +72,14 @@ def _family_params(kind: str, params: Mapping[str, Any]) -> dict[str, Any]:
     """The family identity of a record: its params minus the rate axis.
 
     For ``sim`` records, ``replications`` is also stripped (it sizes
-    the batch, it does not move the curve) and the backend is pinned
-    explicitly so defaults-omitted single runs and engine-pinned
-    replicated runs land in the same family exactly when they describe
-    the same backend.
+    the batch, it does not move the curve).  ``engine`` stays: every
+    ``sim`` key names it (legacy rows are re-keyed on store load), so
+    object and array rows never share a family.
     """
     out = dict(params)
     out.pop(_RATE_PARAM[kind], None)
     if kind == "sim":
         out.pop("replications", None)
-        out.setdefault("engine", "object")
     return out
 
 

@@ -7,7 +7,19 @@ from dataclasses import dataclass, replace
 from repro.utils.exceptions import ConfigurationError
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["SimulationConfig"]
+__all__ = ["DEFAULT_ENGINE", "LEGACY_ENGINE", "SimulationConfig"]
+
+#: The simulation backend every default run uses: the compiled array
+#: engine.  The object engine stays the readable reference and test
+#: oracle, and the engine to name where the array engine refuses
+#: (N > 2048, long messages, deep buffers, ``advance_floor`` overrides,
+#: no C compiler); each refusal is a ConfigurationError naming it.
+DEFAULT_ENGINE = "array"
+
+#: What a flat ``sim`` params dict without ``engine`` means.  Every
+#: ``sim`` key names its engine now; keys that omit it were written when
+#: the object engine was the default, so they describe object runs.
+LEGACY_ENGINE = "object"
 
 
 @dataclass(frozen=True)
@@ -64,11 +76,13 @@ class SimulationConfig:
         Long-horizon campaign runs near saturation can legitimately
         stall longer than the default and should raise this.
     engine:
-        Simulation backend: ``"object"`` (the reference object-per-flit
-        engine, bit-reproducible per seed) or ``"array"`` (a compiled C
-        cycle loop over structure-of-arrays state, statistically
-        equivalent and able to batch replications; needs a C compiler).
-        See ``docs/simulation.md``.
+        Simulation backend: ``"array"`` (the default, :data:`DEFAULT_ENGINE`:
+        a compiled C cycle loop over structure-of-arrays state, able to
+        batch replications; needs a C compiler) or ``"object"`` (the
+        reference object-per-flit engine, bit-reproducible per seed and
+        statistically equivalent).  Where the array engine refuses a
+        configuration it raises a ConfigurationError naming
+        ``engine='object'``.  See ``docs/simulation.md``.
     """
 
     message_length: int = 32
@@ -86,7 +100,7 @@ class SimulationConfig:
     workload: str | None = None
     sample_interval: int = 97
     watchdog_grace: int | None = None
-    engine: str = "object"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self) -> None:
         if self.message_length < 1:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Mapping
 
-from repro.simulation.config import SimulationConfig
+from repro.simulation.config import LEGACY_ENGINE, SimulationConfig
 from repro.simulation.metrics import SimulationResult
 from repro.utils.exceptions import ConfigurationError
 
@@ -41,7 +41,9 @@ class SimSpec:
     ``topology``/``order`` select the network, ``algorithm`` is a
     routing-registry name, and ``config`` carries every engine knob.
     The flat-dict form inlines the config fields next to the topology
-    keys, omitting defaults for compact campaign keys.
+    keys, omitting defaults for compact campaign keys — except
+    ``engine``, which it always names, so no key lets a result from one
+    engine pose as the other's.
     """
 
     topology: str = "star"
@@ -52,7 +54,7 @@ class SimSpec:
     # -- plain-dict round trip ------------------------------------------
 
     def to_params(self) -> dict[str, Any]:
-        """Flat dict of topology keys plus non-default config fields."""
+        """Flat dict of topology keys, ``engine`` and non-default config fields."""
         out: dict[str, Any] = {
             "topology": self.topology,
             "order": self.order,
@@ -60,14 +62,18 @@ class SimSpec:
         }
         for f in fields(SimulationConfig):
             value = getattr(self.config, f.name)
-            if value != f.default:
+            if value != f.default or f.name == "engine":
                 out[f.name] = value
         return out
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "SimSpec":
-        """Rebuild from the flat-dict form, rejecting unknown keys."""
-        params = dict(params)
+        """Rebuild from the flat-dict form, rejecting unknown keys.
+
+        A dict without ``engine`` predates engine-naming keys and means
+        :data:`~repro.simulation.config.LEGACY_ENGINE` (object).
+        """
+        params = {"engine": LEGACY_ENGINE, **params}
         topology = params.pop("topology", "star")
         order = params.pop("order", 4)
         algorithm = params.pop("algorithm", "enhanced_nbc")

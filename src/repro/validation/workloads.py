@@ -31,6 +31,7 @@ from repro.api.results import ResultSet
 from repro.campaign.grid import GridSpec
 from repro.campaign.runner import run_campaign
 from repro.core.spec import ModelSpec
+from repro.simulation.config import DEFAULT_ENGINE
 from repro.utils.exceptions import ConfigurationError
 from repro.validation.compare import CurveComparison, OperatingPoint, compare_curves
 from repro.workloads.spec import WorkloadSpec
@@ -111,7 +112,7 @@ def validation_grids(
     total_vcs: int,
     quality: str = "quick",
     seed: int = 0,
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
     replications: int = 1,
     scenario: "Scenario | None" = None,
 ) -> tuple[GridSpec, GridSpec]:
@@ -147,20 +148,14 @@ def validation_grids(
         ("measure_cycles", window.measure_cycles),
         ("drain_cycles", window.drain_cycles),
         ("seed", seed),
+        ("engine", engine),
     ]
     if scenario is not None and scenario.algorithm != "enhanced_nbc":
         # Non-default routing must reach the sim units; the default stays
         # out of the params so historical campaign keys hold.
         pinned.append(("algorithm", scenario.algorithm))
     if replications > 1:
-        # Replicated units pin the engine (as Scenario.sim_unit does), so
-        # their keys name the backend and match migrated legacy rows.
         pinned.append(("replications", replications))
-        pinned.append(("engine", engine))
-    elif engine != "object":
-        # Only non-default engines enter the campaign key, so existing
-        # object-engine stores keep their content hashes.
-        pinned.append(("engine", engine))
     sim_grid = GridSpec(
         kind="sim",
         axes=(("workload", tuple(workloads)), ("generation_rate", tuple(rates))),
@@ -255,7 +250,7 @@ def validate_workloads(
     load_fractions: tuple[float, ...] = (0.2, 0.4, 0.6),
     quality: str = "quick",
     seed: int = 0,
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
     workers: int = 1,
     tolerance: float | None = None,
     cache_dir=None,

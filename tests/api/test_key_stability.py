@@ -1,13 +1,21 @@
-"""Campaign content-hash keys must not move under the facade.
+"""Campaign content-hash keys must not move by accident.
 
-Acceptance (ISSUE 4): campaign content-hash keys for default uniform
-scenarios are byte-identical to pre-PR values.  The hex digests below
-were computed at the pre-facade HEAD (PR 3) from the hand-built
-ModelSpec/SimSpec units; the facade must reproduce them exactly or every
-existing campaign store silently loses resume.
+Model keys for default uniform scenarios are byte-identical to the
+pre-facade HEAD (PR 3) digests below: the facade must reproduce them or
+every existing campaign store silently loses resume.
+
+Sim keys moved once, on purpose, when the array engine became the
+default: every ``sim`` key now names its ``engine``.  The pre-facade sim
+digests (``*_LEGACY``) stay pinned as the store migration's input — a
+stored row under such a key is an object-engine run, and
+:func:`~repro.campaign.store.migrate_record` re-keys it to the
+``*_OBJECT`` digest an object-pinned scenario builds.  Default scenarios
+build the ``*_ARRAY`` digests.
 """
 
 from repro.api import Scenario
+from repro.campaign.grid import canonical_key
+from repro.campaign.store import migrate_record
 from repro.experiments.figure1 import FIGURE1_PANELS, load_grid, panel_units
 from repro.validation.workloads import DEFAULT_WORKLOADS, validation_grids
 
@@ -15,13 +23,27 @@ from repro.validation.workloads import DEFAULT_WORKLOADS, validation_grids
 #   starnet figure1 --panel a --quality quick --seed 0, first rate point.
 PANEL_A_RATE_0 = 0.002361
 PANEL_A_MODEL_KEY_0 = "ca03252510654f14f0809a53d9e32230fe5f2ed66121467b1df323b88db7f900"
-PANEL_A_SIM_KEY_0 = "4ec165072b951407c2096dc4f25045791863ecbc49b80b85d889a33bd42e9fe8"
+PANEL_A_SIM_KEY_0_LEGACY = "4ec165072b951407c2096dc4f25045791863ecbc49b80b85d889a33bd42e9fe8"
+# Engine-naming sim keys of the same point.
+PANEL_A_SIM_KEY_0_OBJECT = "4657aa2c52606ef7d1125ade3a8541fd295788bb90236a2468fe031239865021"
+PANEL_A_SIM_KEY_0_ARRAY = "2774ec44852c2af5cc42f0ef7ff337e24a01fbec7c9a8b61923a775146247eee"
+PANEL_A_SIM_PARAMS_0_LEGACY = {
+    "topology": "star",
+    "order": 5,
+    "algorithm": "enhanced_nbc",
+    "generation_rate": PANEL_A_RATE_0,
+    "warmup_cycles": 2500,
+    "measure_cycles": 8000,
+    "drain_cycles": 10000,
+}
 
 #   validate default suite (order=4, M=16, V=5, fractions 0.2/0.4/0.6),
 #   first unit of each grid.
 VALIDATION_RATES = (0.005159, 0.010317, 0.015476)
 VALIDATION_MODEL_KEY_0 = "6afa271cb50dd5541fd95fc0e82e047fe92010191904f8154729b3859166a44d"
-VALIDATION_SIM_KEY_0 = "43297c493b7e9f4a7a22fed953e84ad9eb1f2c204ee7fd8cf697a6c6ce8c86b3"
+VALIDATION_SIM_KEY_0_LEGACY = "43297c493b7e9f4a7a22fed953e84ad9eb1f2c204ee7fd8cf697a6c6ce8c86b3"
+VALIDATION_SIM_KEY_0_OBJECT = "08a9ef3df1a0d8926ad1b46adb6b7abe26a82e2cd4a9118824abb16f49d0ca59"
+VALIDATION_SIM_KEY_0_ARRAY = "9814f1d318897d0edda41c1fcf42dabf9d724c067cc73013cb138b5247639f4b"
 
 
 class TestFigure1Keys:
@@ -41,12 +63,28 @@ class TestFigure1Keys:
             FIGURE1_PANELS["a"], (PANEL_A_RATE_0,), include_sim=True, quality="quick"
         )
         assert units[1].kind == "sim"
-        assert units[1].key() == PANEL_A_SIM_KEY_0
+        assert units[1].params == {**PANEL_A_SIM_PARAMS_0_LEGACY, "engine": "array"}
+        assert units[1].key() == PANEL_A_SIM_KEY_0_ARRAY
 
     def test_facade_units_match_directly(self):
         scenario = Scenario()  # the default scenario IS panel a, M=32
         assert scenario.model_unit(PANEL_A_RATE_0).key() == PANEL_A_MODEL_KEY_0
-        assert scenario.sim_unit(PANEL_A_RATE_0).key() == PANEL_A_SIM_KEY_0
+        assert scenario.sim_unit(PANEL_A_RATE_0).key() == PANEL_A_SIM_KEY_0_ARRAY
+        pinned = scenario.replace(engine="object")
+        assert pinned.sim_unit(PANEL_A_RATE_0).key() == PANEL_A_SIM_KEY_0_OBJECT
+
+    def test_legacy_sim_key_migrates_to_the_object_key(self):
+        assert canonical_key("sim", PANEL_A_SIM_PARAMS_0_LEGACY) == PANEL_A_SIM_KEY_0_LEGACY
+        record = migrate_record(
+            {
+                "key": PANEL_A_SIM_KEY_0_LEGACY,
+                "kind": "sim",
+                "params": PANEL_A_SIM_PARAMS_0_LEGACY,
+                "result": {},
+            }
+        )
+        assert record["params"]["engine"] == "object"
+        assert record["key"] == PANEL_A_SIM_KEY_0_OBJECT
 
 
 class TestValidationKeys:
@@ -59,7 +97,23 @@ class TestValidationKeys:
             total_vcs=5,
         )
         assert model_grid.expand()[0].key() == VALIDATION_MODEL_KEY_0
-        assert sim_grid.expand()[0].key() == VALIDATION_SIM_KEY_0
+        assert sim_grid.expand()[0].key() == VALIDATION_SIM_KEY_0_ARRAY
+
+    def test_object_grid_keys_match_migrated_legacy_keys(self):
+        _, sim_grid = validation_grids(
+            DEFAULT_WORKLOADS,
+            VALIDATION_RATES,
+            order=4,
+            message_length=16,
+            total_vcs=5,
+            engine="object",
+        )
+        unit = sim_grid.expand()[0]
+        assert unit.key() == VALIDATION_SIM_KEY_0_OBJECT
+        legacy = {k: v for k, v in unit.params.items() if k != "engine"}
+        assert canonical_key("sim", legacy) == VALIDATION_SIM_KEY_0_LEGACY
+        migrated = migrate_record({"kind": "sim", "params": legacy})
+        assert migrated["key"] == VALIDATION_SIM_KEY_0_OBJECT
 
     def test_scenario_routed_grid_keys(self):
         """A default scenario routes to byte-identical grid keys."""
@@ -73,7 +127,7 @@ class TestValidationKeys:
             scenario=scenario,
         )
         assert model_grid.expand()[0].key() == VALIDATION_MODEL_KEY_0
-        assert sim_grid.expand()[0].key() == VALIDATION_SIM_KEY_0
+        assert sim_grid.expand()[0].key() == VALIDATION_SIM_KEY_0_ARRAY
 
 
 class TestSeedIndependence:

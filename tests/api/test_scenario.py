@@ -194,7 +194,10 @@ class TestUnits:
         unit = Scenario(order=4).sim_unit(0.004, replications=4)
         assert unit.kind == "sim"
         assert unit.params["replications"] == 4
-        assert unit.params["engine"] == "object"
+        assert unit.params["engine"] == "array"
+        single = Scenario(order=4, engine="object").sim_unit(0.004)
+        assert "replications" not in single.params
+        assert single.params["engine"] == "object"
 
     def test_vc_split_kind_passthrough(self):
         unit = Scenario(num_adaptive=2, num_escape=4).model_unit(

@@ -46,7 +46,7 @@ class TestSimulatePath:
         rows = BASE.simulate(0.004)
         row = rows[0]
         assert row.provenance == "sim"
-        assert row.engine == "object"
+        assert row.engine == "array"
         assert row.algorithm == "enhanced_nbc"
         assert row.replications == 1
         assert row.seed == 0

@@ -96,10 +96,13 @@ class TestSimSpec:
         assert SimSpec.from_params(params) == spec
 
     def test_defaults_omitted_from_params(self):
+        """Defaults stay out of the flat dict, except ``engine``: every
+        sim key names its engine."""
         assert SimSpec().to_params() == {
             "topology": "star",
             "order": 4,
             "algorithm": "enhanced_nbc",
+            "engine": "array",
         }
 
     def test_unknown_params_rejected(self):

@@ -91,6 +91,26 @@ class TestRefinement:
         warm = engine.answer(Query(scenario=scenario, rate=rate))
         assert warm.meta["served"] == "warm"
         assert warm.provenance == "sim"  # measured row beats the cold model row
+        assert warm.engine == "array"  # refinement runs on the default engine
+
+    def test_refinements_counted_by_engine(self, tmp_path):
+        """``starnet_refinements_total`` names the engine each unit ran on,
+        and an object-pinned query is answered only by its object row."""
+        scenario = Scenario(order=4, message_length=16, quality="smoke", seed=3)
+        reference = scenario.replace(engine="object")
+        engine = QueryEngine(tmp_path / "store")
+        assert 'starnet_refinements_total{engine="array"} 0' in engine.registry.render()
+        engine.answer(Query(scenario=scenario, rate=0.004))
+        engine.answer(Query(scenario=scenario, rate=0.005))
+        engine.answer(Query(scenario=reference, rate=0.004))
+        assert engine.refine() == 3
+        text = engine.registry.render()
+        assert 'starnet_refinements_total{engine="array"} 2' in text
+        assert 'starnet_refinements_total{engine="object"} 1' in text
+        assert engine.counters["refined"] == 3
+        for pinned, name in ((scenario, "array"), (reference, "object")):
+            row = engine.answer(Query(scenario=pinned, rate=0.004, refine=False))
+            assert (row.meta["served"], row.engine) == ("warm", name)
 
     def test_repeated_cold_queries_dedupe_refinement(self, tmp_path):
         scenario = Scenario(order=4, message_length=16, quality="smoke")

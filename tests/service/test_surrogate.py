@@ -54,12 +54,12 @@ class TestFamilyIdentity:
         assert a != b
 
     def test_single_and_replicated_sims_share_a_family(self):
-        sim = {"generation_rate": 0.004, "order": 4}
+        sim = {"generation_rate": 0.004, "order": 4, "engine": "object"}
         batch = {"generation_rate": 0.008, "order": 4, "replications": 8, "engine": "object"}
         assert family_of_record("sim", sim) == family_of_record("sim", batch)
 
     def test_different_backends_split_sim_families(self):
-        a = family_of_record("sim", {"order": 4})
+        a = family_of_record("sim", {"order": 4, "engine": "object"})
         b = family_of_record("sim", {"order": 4, "engine": "array"})
         assert a != b
 

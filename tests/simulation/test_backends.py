@@ -36,6 +36,7 @@ def small_config(**overrides):
         measure_cycles=1_500,
         drain_cycles=2_500,
         seed=7,
+        engine="object",  # the oracle; array runs name their engine
     )
     base.update(overrides)
     return SimulationConfig(**base)

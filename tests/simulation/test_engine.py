@@ -18,6 +18,7 @@ def tiny_config(**overrides):
         measure_cycles=1_500,
         drain_cycles=3_000,
         seed=11,
+        engine="object",  # this module tests the reference engine
     )
     base.update(overrides)
     return SimulationConfig(**base)

@@ -99,6 +99,7 @@ class TestEngineIntegration:
             measure_cycles=4_000,
             drain_cycles=5_000,
             seed=3,
+            engine="object",
         )
         return simulate(StarGraph(4), EnhancedNbc(), cfg)
 
@@ -131,6 +132,7 @@ class TestEngineIntegration:
             measure_cycles=4_000,
             drain_cycles=2_000,
             seed=1,
+            engine="object",
         )
         res = simulate(StarGraph(4), EnhancedNbc(), cfg)
         for row in res.hop_blocking.as_rows():

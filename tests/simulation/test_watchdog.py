@@ -55,6 +55,7 @@ class TestWatchdog:
             measure_cycles=1_000,
             drain_cycles=1_000,
             seed=0,
+            engine="object",
         )
         res = simulate(star4, EnhancedNbc(), cfg)
         assert res.messages_completed > 0
@@ -102,6 +103,7 @@ class TestConfigurableGrace:
             measure_cycles=1_000,
             drain_cycles=1_000,
             seed=0,
+            engine="object",
             watchdog_grace=1_000_000,
         )
         res = simulate(star4, EnhancedNbc(), cfg)
@@ -186,6 +188,7 @@ class TestSmallWorms:
             measure_cycles=4_000,
             drain_cycles=2_000,
             seed=5,
+            engine="object",
         )
         res = simulate(star4, EnhancedNbc(), cfg)
         assert res.messages_measured > 0

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.simulation import SimSpec, SimulationConfig
+from repro.simulation.config import DEFAULT_ENGINE
 from repro.utils.exceptions import ConfigurationError
 
 #: One workload per spatial pattern and per temporal process.
@@ -37,6 +38,7 @@ def short_config(**overrides) -> SimulationConfig:
         measure_cycles=1_200,
         drain_cycles=2_500,
         seed=11,
+        engine="object",  # the reference engine; array runs name theirs
     )
     base.update(overrides)
     return SimulationConfig(**base)
@@ -53,6 +55,11 @@ class TestDeterminismUnderEveryWorkload:
         first = run(config)
         second = run(config)
         assert first.as_dict() == second.as_dict()
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOADS)
+    def test_same_seed_same_metrics_on_the_default_engine(self, workload):
+        config = short_config(workload=workload, engine=DEFAULT_ENGINE)
+        assert run(config).as_dict() == run(config).as_dict()
 
     def test_different_seeds_differ(self):
         a = run(short_config(workload="hotspot(fraction=0.2)", seed=1))
